@@ -141,8 +141,12 @@ class ScenarioConfig:
         # charge default covers one period, so it tracks the swept omega
         p = params if params is not None else self.params
         t1 = self.t1
-        if t1 is None:
-            t1 = np.pi / p.omega if self.scenario == "charge" else 10.0
+        if t1 is None and self.scenario == "charge":
+            if p.omega == 0.0:
+                raise ValueError("charge with omega = 0 has no period pi/omega; set t1")
+            t1 = np.pi / p.omega
+        elif t1 is None:
+            t1 = 10.0
         return TimeGrid(t0=self.t0, t1=t1, dt=self.dt)
 
     def resolved_samples(self):
@@ -182,11 +186,18 @@ def validate_config(cfg):
             )
     if cfg.samples is not None and cfg.samples < 2:
         raise ConfigError("samples must be at least 2")
-    if cfg.scenario in ("dephasing", "charge"):
-        try:
-            cfg.resolved_grid()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    # every swept point must give valid parameters and, for the scenarios
+    # that integrate in time, a valid grid, not just the base point
+    try:
+        points = [cfg.params]
+        for axis in (cfg.sweep, cfg.second_axis):
+            if axis is not None:
+                points += [cfg.params.replace(**{axis.name: float(v)}) for v in axis.values()]
+        if cfg.scenario in ("dephasing", "charge"):
+            for p in points:
+                cfg.resolved_grid(p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -552,7 +563,7 @@ def _config_from_args(args):
         try:
             with open(args.config, "r", encoding="utf-8") as f:
                 text = f.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         cfg = parse_config(text)
         if cfg.scenario != args.scenario:

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -11,9 +14,13 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipolarqb import ModelParams
 from dipolarqb.cli import (
+    PARAM_KEYS,
+    SCENARIOS,
     AxisSpec,
     ConfigError,
     DEFAULT_OUTPUTS,
@@ -235,8 +242,8 @@ class TestRunScenario:
         run_scenario(cfg)
         header, body = read_table(out)
         assert header == ["omega_t"] + list(DEFAULT_OUTPUTS["charge"])
-        # default span is one period, quantized to whole dt steps
-        assert abs(body[-1, 0] - np.pi) < 1e-2 + 1e-12
+        # default span is one period, and the grid ends on it exactly
+        assert abs(body[-1, 0] - np.pi) < 1e-12
         cap_cols = body[:, [3, 4]]
         assert np.all(cap_cols == cap_cols[0])  # capacities constant in t
 
@@ -376,6 +383,29 @@ class TestMain:
     def test_missing_config_file(self, capsys):
         assert main(["spectrum", "--config", "/nonexistent/x.cfg"]) == 1
 
+    def test_charge_omega_zero_is_config_error(self, tmp_path, capsys):
+        assert main(["charge", "--omega", "0", "--jobs", "1",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "omega" in err
+        assert "Traceback" not in err
+
+    def test_every_sweep_point_validated(self, tmp_path, capsys):
+        # the base omega = 1 is fine; the swept -1 and 0 have no valid period
+        assert main(["charge", "--sweep", "omega:-1:1:3", "--jobs", "1",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_bundled_charge_run_ends_on_one_period(self, tmp_path, capsys):
+        out = str(tmp_path / "c.csv")
+        assert main(["charge", "--config", str(CONFIG_DIR / "charge_dm1.cfg"),
+                     "--jobs", "1", "--out", out]) == 0
+        header, body = read_table(out)
+        assert abs(body[-1, header.index("omega_t")] - np.pi) < 1e-12
+        assert body[-1, header.index("ergotropy")] < 1e-9
+
     def test_jobs_env_var(self, tmp_path, capsys, monkeypatch):
         out = str(tmp_path / "s.csv")
         monkeypatch.setenv("DIPOLAR_QB_JOBS", "2")
@@ -411,6 +441,68 @@ class TestCheckedInConfigs:
         cfg = parse_config((CONFIG_DIR / "grid_delta_dm.cfg").read_text())
         assert cfg.scenario == "grid2d"
         assert cfg.sweep.count == cfg.second_axis.count == 21
+
+
+# Fuzzed CLI values: zero, negatives, non-finite, swapped bounds, malformed
+# and non-numeric specs.  Magnitudes stay small and --samples is always
+# passed small, so no example integrates long or evaluates many states;
+# --jobs is pinned to 1 because every job is an OS process.
+FUZZ_NUMBERS = ("0", "-0", "-1", "1", "0.5", "2", "1e-3", "nan", "inf", "-inf", "abc", "")
+FUZZ_SAMPLES = ("-1", "0", "1", "2", "3", "2.5", "x")
+FUZZ_SWEEPS = (
+    "delta:0:1:2", "delta:1:0:2", "delta:0:1", "delta:0:1:1", "delta:a:1:2",
+    "temperature:0.5:2:2", "temperature:-1:1:3", "temperature:0:1:2:log",
+    "omega:-1:1:3", "omega:0:1:2", "field:0:inf:2", "gamma:0:1:2:exp",
+    "coupling:0:1:2", "epsilon:-2:2:3", ":::", "",
+)
+FUZZ_OUTPUTS = ("concurrence", "discord,coherence", "ergotropy,power_avg", "purity", ",", "")
+FUZZ_FLAGS = (
+    [(f"--{k}", FUZZ_NUMBERS) for k in PARAM_KEYS]
+    + [("--t0", FUZZ_NUMBERS), ("--t1", FUZZ_NUMBERS), ("--dt", FUZZ_NUMBERS),
+       ("--seed", FUZZ_SAMPLES), ("--sweep", FUZZ_SWEEPS), ("--sweep2", FUZZ_SWEEPS),
+       ("--outputs", FUZZ_OUTPUTS)]
+)
+FUZZ_CONFIG_KEYS = PARAM_KEYS + ("t0", "t1", "dt", "samples", "sweep", "sweep2",
+                                 "outputs", "with_discord", "seed", "bogus")
+
+
+@st.composite
+def fuzzed_invocation(draw):
+    scenario = draw(st.sampled_from(SCENARIOS + ("warp",)))
+    argv = [scenario, "--jobs", "1", "--samples", draw(st.sampled_from(FUZZ_SAMPLES))]
+    for flag, values in draw(st.lists(st.sampled_from(FUZZ_FLAGS), max_size=4)):
+        argv += [flag, draw(st.sampled_from(values))]
+    for flag in ("--with-discord", "--emit-plot"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    config = None
+    if draw(st.booleans()):
+        lines = [f"scenario = {draw(st.sampled_from(SCENARIOS + ('warp',)))}"]
+        for key in draw(st.lists(st.sampled_from(FUZZ_CONFIG_KEYS), max_size=4)):
+            pool = FUZZ_SAMPLES if key == "samples" else FUZZ_SWEEPS + FUZZ_NUMBERS
+            lines.append(f"{key} = {draw(st.sampled_from(pool))}")
+        if draw(st.booleans()):
+            lines.append(draw(st.text(alphabet="ab =:#\n1-.", max_size=12)))
+        config = "\n".join(lines) + "\n"
+    return argv, config
+
+
+@settings(max_examples=120, deadline=None)
+@given(fuzzed_invocation())
+def test_fuzzed_invocations_exit_cleanly(invocation):
+    argv, config = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = argv + ["--out", os.path.join(tmp, "out.csv")]
+        if config is not None:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(config)
+            argv += ["--config", path]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)  # an uncaught exception here is a traceback
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def write_console_script(bin_dir, name):

@@ -20,7 +20,7 @@ from dipolarqb import (
     lindblad_superoperator,
     matrix_exp,
 )
-from conftest import bell_state, ket00
+from conftest import bell_state, ket00, random_density
 
 
 class TestTimeGrid:
@@ -36,6 +36,27 @@ class TestTimeGrid:
 
     def test_n_steps(self):
         assert TimeGrid(0.0, 1.0, 1e-3).n_steps() == 1000
+
+    def test_last_step_lands_on_t1(self):
+        grid = TimeGrid(0.0, np.pi, 1e-3)
+        assert grid.n_steps() == 3142
+        assert abs(grid.t0 + grid.n_steps() * grid.dt - np.pi) < 1e-15
+        # a dt that already divides the span is kept as given
+        grid = TimeGrid(0.0, 10.0, 1e-3)
+        assert grid.n_steps() == 10000 and grid.dt == 1e-3
+        # a dt longer than the span shrinks to a single step
+        grid = TimeGrid(0.0, 1.0, 5.0)
+        assert grid.n_steps() == 1 and grid.dt == 1.0
+
+    def test_rejects_non_finite(self):
+        for bad in ((0.0, np.inf, 1e-3), (np.nan, 1.0, 1e-3), (0.0, 1.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid(*bad)
+
+    def test_sample_steps(self):
+        assert TimeGrid(0.0, 1.0, 0.1).sample_steps(3) == [0, 4, 8, 10]
+        assert TimeGrid(0.0, 1.0, 0.1).sample_steps(5) == [0, 2, 4, 6, 8, 10]
+        assert TimeGrid(0.0, 1.0, 0.1).sample_steps(100) == list(range(11))
 
 
 class TestTimeSeries:
@@ -83,6 +104,14 @@ class TestLindbladRhs:
             rhs = lindblad_rhs(p, rho)
             assert abs(np.trace(rhs)) < 1e-12
             assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
+
+    def test_superoperator_matches_rhs(self, rng):
+        for _ in range(20):
+            p = ModelParams(*rng.uniform(-3.0, 3.0, 5), gamma=rng.uniform(0.0, 1.0))
+            sup = lindblad_superoperator(p)
+            for rho in (random_density(rng), rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))):
+                lhs = sup @ rho.flatten(order="F")
+                assert np.max(np.abs(lhs - lindblad_rhs(p, rho).flatten(order="F"))) < 1e-12
 
     def test_collapse_operators(self):
         c1, c2 = collapse_operators(ModelParams(gamma=0.25))
@@ -150,6 +179,33 @@ class TestEvolveLindblad:
         prop = matrix_exp(lindblad_superoperator(p) * t1)
         ref = (prop @ ket00().flatten(order="F")).reshape(4, 4, order="F")
         assert np.max(np.abs(states[-1] - ref)) < 1e-7
+
+    def test_matches_plain_rk4_loop(self, rng):
+        # independent of lindblad_superoperator: classical RK4 written out
+        # on lindblad_rhs; 1000 steps in 7 samples leave a partial stride
+        grid = TimeGrid(0.0, 1.0, 1e-3)
+        for _ in range(3):
+            p = ModelParams(delta=rng.uniform(-3, 3), epsilon=rng.uniform(-3, 3),
+                            dm=rng.uniform(-3, 3), ksea=rng.uniform(-3, 3),
+                            field=rng.uniform(-3, 3), gamma=rng.uniform(0.0, 1.0))
+            rho = random_density(rng)
+            times, states = evolve_lindblad(p, rho, grid, n_samples=7)
+            dt, n = grid.dt, grid.n_steps()
+            stride = int(np.ceil(n / 7))
+            ref_times, ref_states = [0.0], [rho]
+            for i in range(n):
+                k1 = lindblad_rhs(p, rho)
+                k2 = lindblad_rhs(p, rho + 0.5 * dt * k1)
+                k3 = lindblad_rhs(p, rho + 0.5 * dt * k2)
+                k4 = lindblad_rhs(p, rho + dt * k3)
+                rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if (i + 1) % stride == 0 or i == n - 1:
+                    ref_times.append((i + 1) * dt)
+                    ref_states.append(rho)
+            assert len(states) == len(ref_states) == 8
+            assert np.array_equal(times, ref_times)
+            for got, ref in zip(states, ref_states):
+                assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_blowup_reported_as_accuracy_error(self):
         p = ModelParams(field=5.0, gamma=5.0)

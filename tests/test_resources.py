@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,18 @@ from dipolarqb import (
     quantum_discord,
     TimeGrid,
 )
-from dipolarqb.resources import GRID_N, _conditional_entropy, _projector_pairs, _scalar_objective
+from dipolarqb.cli import parse_config
+from dipolarqb.resources import (
+    GRID_N,
+    _conditional_entropy,
+    _discord,
+    _general_search,
+    _projector_pairs,
+    _scalar_objective,
+)
 from conftest import bell_state, ket00, random_density
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_local_unitary(rng):
@@ -149,6 +161,77 @@ class TestDiscord:
                 monkeypatch.setattr(res, "GRID_N", 2 * GRID_N)
                 fine = quantum_discord(rho).discord
                 assert abs(coarse - fine) < 1e-5
+
+
+def random_x_state(rng, swap_symmetric=False):
+    """X-state from two PSD 2x2 blocks with random complex coherences."""
+    pop = rng.dirichlet(np.full(4, rng.choice([0.3, 1.0, 3.0])))
+    if swap_symmetric:
+        pop[1] = pop[2] = 0.5 * (pop[1] + pop[2])
+    rho = np.diag(pop).astype(complex)
+    for i, j in ((0, 3), (1, 2)):
+        phase = 0.0 if swap_symmetric and i == 1 else rng.uniform(0.0, 2.0 * np.pi)
+        z = np.sqrt(pop[i] * pop[j] * rng.uniform()) * np.exp(1j * phase)
+        rho[i, j], rho[j, i] = z, np.conj(z)
+    return rho
+
+
+def assert_matches_general_route(rho):
+    fast = quantum_discord(rho)
+    ref = _discord(np.asarray(rho, dtype=complex), _general_search)
+    assert fast.optimizer_evals < 100  # the X-state search ran
+    assert abs(fast.discord - ref.discord) <= 1e-9
+    # a supremum: a lower classical correlation would be a worse optimum
+    assert fast.classical_correlation >= ref.classical_correlation - 1e-12
+    assert 0.0 <= fast.optimal_direction.theta <= np.pi
+    assert 0.0 <= fast.optimal_direction.phi < 2.0 * np.pi
+    return fast
+
+
+class TestXStateDiscord:
+    def test_random_x_states_match_general_route(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(1000):
+            assert_matches_general_route(random_x_state(rng))
+
+    def test_bundled_thermal_states_match_general_route(self):
+        paths = sorted(CONFIG_DIR.glob("thermal_*.cfg"))
+        assert len(paths) == 15
+        for path in paths:
+            cfg = parse_config(path.read_text())
+            for temp in cfg.sweep.values():
+                zeta = gibbs_numeric(cfg.params.replace(temperature=float(temp)))
+                assert_matches_general_route(zeta)
+
+    def test_intermediate_angle_optimum(self):
+        # neither sz (theta = 0) nor sx (theta = pi/2) is optimal here
+        # (Huang, PRA 88, 014302): the search must not just compare them
+        rho = np.diag([0.93, 0.0, 0.035, 0.035]).astype(complex)
+        rho[0, 3] = rho[3, 0] = 0.16
+        fast = assert_matches_general_route(rho)
+        assert 0.1 < fast.optimal_direction.theta < np.pi / 2 - 0.1
+        d = fast.optimal_direction
+        cond = _conditional_entropy(rho.reshape(2, 2, 2, 2), np.array([0.0, np.pi / 2, d.theta]),
+                                    np.full(3, d.phi))
+        assert min(cond[0], cond[1]) - cond[2] > 1e-3
+
+    def test_measure_b_matches_a_on_swap_symmetric_states(self):
+        rng = np.random.default_rng(77)
+        for _ in range(50):
+            rho = random_x_state(rng, swap_symmetric=True)
+            swap = np.eye(4)[[0, 2, 1, 3]]
+            assert np.max(np.abs(swap @ rho @ swap - rho)) < 1e-15
+            a = quantum_discord(rho, measure="A")
+            b = quantum_discord(rho, measure="B")
+            assert abs(a.discord - b.discord) < 1e-12
+            assert b.optimizer_evals < 100
+
+    def test_path_threshold(self):
+        rho = random_x_state(np.random.default_rng(5))
+        for leak, x_path in ((1e-13, True), (1e-11, False)):
+            noisy = rho.copy()
+            noisy[0, 1] = noisy[1, 0] = leak
+            assert (quantum_discord(noisy).optimizer_evals < 100) == x_path
 
 
 class TestOptimizerInternals:
