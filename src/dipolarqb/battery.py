@@ -43,7 +43,7 @@ from .dynamics import TimeGrid, TimeSeries
 from .linalg import hermitian_eigen, require_hermitian
 from .model import build_hamiltonian, charging_hamiltonian, charging_unitary
 from .resources import l1_coherence
-from .thermal import _sinhc, gibbs_numeric
+from .thermal import _sinhc, _thermal_terms, gibbs_numeric
 
 PEAK_GRID_N = 2000
 PEAK_TOL = 1e-8
@@ -75,29 +75,28 @@ class CapacityReport:
     closed_form: float
 
 
+def _paired_state(rho, h, energy_order):
+    """Descending populations of rho on H's eigenvectors in energy_order."""
+    rho = np.asarray(rho, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    require_hermitian(rho, name="rho")
+    require_hermitian(h, name="H")
+    pops = hermitian_eigen(rho, order="descending").values
+    vecs = hermitian_eigen(h, order=energy_order).vectors
+    return (vecs * pops) @ vecs.conj().T
+
+
 def passive_state(rho, h):
     """Spectrum of rho rearranged to make work extraction impossible.
 
     Descending populations land on ascending energy eigenvectors.
     """
-    rho = np.asarray(rho, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    require_hermitian(rho, name="rho")
-    require_hermitian(h, name="H")
-    pops = hermitian_eigen(rho, order="descending").values
-    vecs = hermitian_eigen(h, order="ascending").vectors
-    return (vecs * pops) @ vecs.conj().T
+    return _paired_state(rho, h, "ascending")
 
 
 def antipassive_state(rho, h):
     """Spectrum-preserving state of maximal energy (reversed pairing)."""
-    rho = np.asarray(rho, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    require_hermitian(rho, name="rho")
-    require_hermitian(h, name="H")
-    pops = hermitian_eigen(rho, order="descending").values
-    vecs = hermitian_eigen(h, order="descending").vectors
-    return (vecs * pops) @ vecs.conj().T
+    return _paired_state(rho, h, "descending")
 
 
 def ergotropy(rho, h):
@@ -230,44 +229,6 @@ def charged_coherence(traj, grid):
     return TimeSeries(times, {"coherence": vals})
 
 
-def _scaled_thermal_terms(p):
-    """Exponent-shifted hyperbolic building blocks of the closed forms.
-
-    Returns (wu1, wu2s, v2, v1s, twod0) where, with a common factor
-    2 exp(-m) absorbed into everything,
-
-        wu1  ~ W cosh(S)          wu2s ~ W sinh(S) / kappa1
-        v2   ~ cosh(J)            v1s  ~ sinh(J) / kappa2
-        twod0 ~ W cosh(S) + cosh(J)   (the partition denominator)
-
-    W = exp(4 delta / 3T), S = 2 kappa1 / 3T, J = 2 kappa2 / T.  The
-    sinh/kappa ratios switch to a series for small arguments, so the
-    kappa -> 0 limits are exact rather than 0/0.
-    """
-    t = p.temperature
-    k1 = p.kappa1()
-    k2 = p.kappa2()
-    s_arg = 2.0 * k1 / (3.0 * t)
-    j_arg = 2.0 * k2 / t
-    w_arg = 4.0 * p.delta / (3.0 * t)
-    m = max(w_arg + s_arg, w_arg - s_arg, j_arg, -j_arg)
-    e1 = math.exp(w_arg + s_arg - m)
-    e2 = math.exp(w_arg - s_arg - m)
-    e3 = math.exp(j_arg - m)
-    e4 = math.exp(-j_arg - m)
-    wu1 = e1 + e2
-    v2 = e3 + e4
-    if s_arg < 1e-6:
-        wu2s = 2.0 * math.exp(w_arg - m) * (2.0 / (3.0 * t)) * _sinhc(s_arg)
-    else:
-        wu2s = (e1 - e2) / k1
-    if j_arg < 1e-6:
-        v1s = 2.0 * math.exp(-m) * (2.0 / t) * _sinhc(j_arg)
-    else:
-        v1s = (e3 - e4) / k2
-    return wu1, wu2s, v2, v1s, wu1 + v2
-
-
 def ergotropy_closed_form(p, t):
     """Closed-form xi(t) for unitary charging out of the Gibbs state.
 
@@ -275,14 +236,14 @@ def ergotropy_closed_form(p, t):
     Tr[(rho(t) - zeta) H] route to machine precision for all parameter
     values, D != 0 included.
     """
-    wu1, wu2s, v2, v1s, twod0 = _scaled_thermal_terms(p)
+    th = _thermal_terms(p)
     d, e, dm, g, b = p.delta, p.epsilon, p.dm, p.ksea, p.field
     s = p.omega * np.asarray(t, dtype=float)
     sin2 = np.sin(s) ** 2
     sin2_2 = np.sin(2.0 * s) ** 2
-    bracket1 = 6.0 * dm * dm * wu2s + 2.0 * (b * b + g * g) * v1s
-    bracket2 = (d + e) * (d * wu2s + e * v1s + wu1 - v2)
-    out = (2.0 * sin2 * bracket1 + sin2_2 * bracket2) / twod0
+    bracket1 = 6.0 * dm * dm * th.ws_over_k1 + 2.0 * (b * b + g * g) * th.sinhj_over_k2
+    bracket2 = (d + e) * (d * th.ws_over_k1 + e * th.sinhj_over_k2 + th.w_cosh_s - th.cosh_j)
+    out = (2.0 * sin2 * bracket1 + sin2_2 * bracket2) / (0.5 * th.twod0)
     return out if out.ndim else float(out)
 
 
@@ -331,16 +292,16 @@ def capacity_closed_form(p):
     the highest-field basis state and the thermal energy, which matches
     neither capacity_basis nor capacity_unitary in general.
     """
-    wu1, wu2s, v2, v1s, twod0 = _scaled_thermal_terms(p)
+    th = _thermal_terms(p)
     b, d = p.field, p.delta
     k1, k2 = p.kappa1(), p.kappa2()
     num = (
-        2.0 * (3.0 * b + 2.0 * d) * wu1
-        + 6.0 * b * v2
-        + 2.0 * k1 * k1 * wu2s
-        + 6.0 * k2 * k2 * v1s
+        (3.0 * b + 2.0 * d) * th.w_cosh_s
+        + 3.0 * b * th.cosh_j
+        + k1 * k1 * th.ws_over_k1
+        + 3.0 * k2 * k2 * th.sinhj_over_k2
     )
-    return num / (3.0 * (wu1 + v2))
+    return 4.0 * num / (3.0 * th.twod0)
 
 
 def capacity(p):

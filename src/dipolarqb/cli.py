@@ -1,19 +1,23 @@
 """Command-line driver: scenario execution, sweeps, CSV and plot output.
 
-Scenarios
-    spectrum       closed-form vs numeric eigenvalue diagnostic dump
-    gibbs          closed-form vs numeric thermal-state entry dump
-    dephasing      open-system trajectory measures vs time
-    thermal-sweep  Gibbs-state measures vs temperature
-    charge         unitary-charging battery metrics vs Omega*t
-    grid2d         peak metrics over a 2-D parameter grid
+scenario       run keys it takes                            what it writes
+spectrum       (none)                                       eigenvalues, closed vs numeric
+gibbs          (none)                                       Gibbs entries, closed vs numeric
+dephasing      t0 t1 dt samples sweep outputs               measures vs t under dephasing
+thermal-sweep  sweep outputs                                Gibbs-state measures vs T
+charge         t0 t1 dt samples sweep outputs with_discord  battery metrics vs Omega*t
+grid2d         sweep sweep2                                 orbit peaks over a 2-D grid
 
-Configs are flat ``key = value`` text files; every key has a matching
-CLI flag and flags win over the file.  Sweep axes are compact specs
-``name:min:max:count[:log]`` over the eight model parameters.  CSV
-output uses 17 significant digits, comma separators, and LF endings so
-repeated runs are byte-identical.  ``--emit-plot`` writes a gnuplot
-script next to each CSV; scripts reference the CSV, never embed data.
+Every scenario also takes the eight model parameters and ``out``; a run
+key the scenario does not take is a configuration error.  Configs are
+flat ``key = value`` text files and every key has a matching CLI flag.
+File and flag values are merged as text, flags winning, and parsed once,
+so a flag also overrides a file value that would not parse.  Sweep axes
+are compact specs ``name:min:max:count[:log]`` over the model
+parameters.  CSV output uses 17 significant digits, comma separators,
+and LF endings so repeated runs are byte-identical.  ``--emit-plot``
+writes a gnuplot script next to each CSV; scripts reference the CSV,
+never embed data.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
@@ -23,6 +27,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,31 +38,7 @@ from .model import ModelParams, build_hamiltonian, closed_form_spectrum
 from .resources import concurrence, l1_coherence, quantum_discord
 from .thermal import gibbs_closed_form, gibbs_numeric
 
-SCENARIOS = ("spectrum", "gibbs", "dephasing", "thermal-sweep", "charge", "grid2d")
 PARAM_KEYS = ("delta", "epsilon", "dm", "ksea", "field", "temperature", "omega", "gamma")
-
-X_NAMES = {
-    "dephasing": "t",
-    "thermal-sweep": "T",
-    "charge": "omega_t",
-}
-DEFAULT_OUTPUTS = {
-    "dephasing": ("concurrence", "discord", "coherence"),
-    "thermal-sweep": ("concurrence", "discord", "coherence"),
-    "charge": ("ergotropy", "power_instant", "capacity_basis", "capacity_unitary", "coherence"),
-    "grid2d": ("capacity", "coherence_max", "ergotropy_max", "power_max"),
-    "spectrum": ("energy_closed", "energy_numeric", "abs_deviation"),
-    "gibbs": ("closed_re", "closed_im", "numeric_re", "numeric_im", "abs_deviation"),
-}
-ALLOWED_OUTPUTS = {
-    "dephasing": {"concurrence", "discord", "coherence"},
-    "thermal-sweep": {"concurrence", "discord", "coherence"},
-    "charge": {
-        "ergotropy", "work", "power_instant", "power_avg", "efficiency",
-        "capacity_basis", "capacity_unitary", "coherence", "discord",
-    },
-}
-DEFAULT_SAMPLES = {"dephasing": 201, "charge": 501}
 
 
 class ConfigError(ValueError):
@@ -113,6 +94,63 @@ def parse_axis(spec):
     return AxisSpec(name=name, lo=lo, hi=hi, count=count, log=log)
 
 
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(raw):
+    word = raw.strip().lower()
+    if word not in _BOOL_WORDS:
+        raise ValueError(f"want true/false, got {raw!r}")
+    return _BOOL_WORDS[word]
+
+
+def _parse_outputs(raw):
+    return tuple(c.strip() for c in raw.split(",") if c.strip())
+
+
+# run key -> (ScenarioConfig field, parser of its text value).  A field
+# left at None is a key that was not set; resolved_* supply the defaults.
+RUN_KEYS = {
+    "t0": ("t0", float),
+    "t1": ("t1", float),
+    "dt": ("dt", float),
+    "samples": ("samples", int),
+    "sweep": ("sweep", parse_axis),
+    "sweep2": ("second_axis", parse_axis),
+    "outputs": ("outputs", _parse_outputs),
+    "with_discord": ("with_discord", _parse_bool),
+}
+# every key a config file or a flag may set, besides scenario
+FLAG_KEYS = PARAM_KEYS + tuple(RUN_KEYS) + ("out",)
+
+
+def _as_text(value):
+    """A run-key value as text its RUN_KEYS parser reads back unchanged."""
+    if isinstance(value, AxisSpec):
+        return value.spec_string()
+    if isinstance(value, tuple):
+        return ", ".join(value)
+    return repr(value)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What the CLI knows about one scenario.
+
+    leading: CSV columns before the metrics; defaults: the metric columns
+    written when outputs is unset; allowed: the columns outputs may name;
+    keys: the RUN_KEYS it takes; samples: its default sample count;
+    run(cfg, out, jobs): writes its CSVs and returns their paths.
+    """
+
+    leading: tuple
+    defaults: tuple
+    run: object
+    keys: tuple = ()
+    allowed: tuple = ()
+    samples: int = None
+
+
 @dataclass
 class ScenarioConfig:
     scenario: str
@@ -120,22 +158,22 @@ class ScenarioConfig:
     sweep: AxisSpec = None
     second_axis: AxisSpec = None
     outputs: tuple = None  # None means scenario default
-    t0: float = 0.0
+    t0: float = None  # None: 0
     t1: float = None  # None: scenario default (10 dephasing, pi/omega charge)
-    dt: float = 1e-3
+    dt: float = None  # None: 1e-3
     samples: int = None
     out_path: str = None
-    seed: int = 0
-    with_discord: bool = False
+    with_discord: bool = None
 
     def resolved_outputs(self):
-        if self.outputs is not None:
-            cols = list(self.outputs)
-        else:
-            cols = list(DEFAULT_OUTPUTS[self.scenario])
-        if self.scenario == "charge" and self.with_discord and "discord" not in cols:
-            cols.append("discord")
-        return tuple(cols)
+        sc = SCENARIOS[self.scenario]
+        cols = tuple(self.outputs if self.outputs is not None else sc.defaults)
+        if self.with_discord and "discord" not in cols:
+            cols += ("discord",)
+        return cols
+
+    def resolved_header(self):
+        return SCENARIOS[self.scenario].leading + self.resolved_outputs()
 
     def resolved_grid(self, params=None):
         # charge default covers one period, so it tracks the swept omega
@@ -147,43 +185,42 @@ class ScenarioConfig:
             t1 = np.pi / p.omega
         elif t1 is None:
             t1 = 10.0
-        return TimeGrid(t0=self.t0, t1=t1, dt=self.dt)
+        t0 = 0.0 if self.t0 is None else self.t0
+        return TimeGrid(t0=t0, t1=t1, dt=1e-3 if self.dt is None else self.dt)
 
     def resolved_samples(self):
         if self.samples is not None:
             return self.samples
-        return DEFAULT_SAMPLES.get(self.scenario, 201)
+        return SCENARIOS[self.scenario].samples
 
     def resolved_out(self):
         return self.out_path if self.out_path else f"{self.scenario}.csv"
 
 
 def validate_config(cfg):
-    if cfg.scenario not in SCENARIOS:
+    sc = SCENARIOS.get(cfg.scenario)
+    if sc is None:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}; choose from {', '.join(SCENARIOS)}")
-    if cfg.scenario in ("spectrum", "gibbs"):
-        if cfg.sweep or cfg.second_axis:
-            raise ConfigError(f"{cfg.scenario} is a single-point diagnostic; sweeps not supported")
-        if cfg.outputs is not None:
-            raise ConfigError(f"{cfg.scenario} columns are fixed; outputs not configurable")
+    unused = [key for key, (name, _) in RUN_KEYS.items()
+              if getattr(cfg, name) is not None and key not in sc.keys]
+    if unused:
+        raise ConfigError(
+            f"{cfg.scenario} does not take {', '.join(unused)}; "
+            f"its run keys are: {', '.join(sc.keys) or 'none'}"
+        )
     if cfg.scenario == "grid2d":
-        if cfg.outputs is not None:
-            raise ConfigError("grid2d columns are fixed; outputs not configurable")
         if not (cfg.sweep and cfg.second_axis):
             raise ConfigError("grid2d requires both sweep and sweep2 axes")
         if cfg.sweep.name == cfg.second_axis.name:
             raise ConfigError("grid2d axes must sweep different parameters")
-    elif cfg.second_axis is not None:
-        raise ConfigError("sweep2 is only meaningful for grid2d")
     if cfg.scenario == "thermal-sweep" and cfg.sweep and cfg.sweep.name != "temperature":
         raise ConfigError("thermal-sweep's sweep axis must be temperature")
-    if cfg.outputs is not None and cfg.scenario in ALLOWED_OUTPUTS:
-        bad = [c for c in cfg.outputs if c not in ALLOWED_OUTPUTS[cfg.scenario]]
-        if bad:
-            raise ConfigError(
-                f"unknown outputs for {cfg.scenario}: {', '.join(bad)}; "
-                f"allowed: {', '.join(sorted(ALLOWED_OUTPUTS[cfg.scenario]))}"
-            )
+    bad = [c for c in cfg.outputs or () if c not in sc.allowed]
+    if bad:
+        raise ConfigError(
+            f"unknown outputs for {cfg.scenario}: {', '.join(bad)}; "
+            f"allowed: {', '.join(sorted(sc.allowed))}"
+        )
     if cfg.samples is not None and cfg.samples < 2:
         raise ConfigError("samples must be at least 2")
     # every swept point must give valid parameters and, for the scenarios
@@ -193,7 +230,7 @@ def validate_config(cfg):
         for axis in (cfg.sweep, cfg.second_axis):
             if axis is not None:
                 points += [cfg.params.replace(**{axis.name: float(v)}) for v in axis.values()]
-        if cfg.scenario in ("dephasing", "charge"):
+        if "t1" in sc.keys:
             for p in points:
                 cfg.resolved_grid(p)
     except ValueError as exc:
@@ -201,18 +238,8 @@ def validate_config(cfg):
     return cfg
 
 
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _parse_bool(raw, key):
-    word = raw.strip().lower()
-    if word not in _BOOL_WORDS:
-        raise ConfigError(f"{key} wants true/false, got {raw!r}")
-    return _BOOL_WORDS[word]
-
-
-def parse_config(text):
-    """Parse flat key = value config text into a ScenarioConfig."""
+def _read_values(text):
+    """Flat key = value config text as a dict of raw text values."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -225,30 +252,25 @@ def parse_config(text):
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = raw
+    return values
 
+
+def _config_from_values(values):
+    """Parse and validate raw text values, keyed as in a config file."""
     if "scenario" not in values:
         raise ConfigError("config must set scenario")
-    cfg = ScenarioConfig(scenario=values.pop("scenario"))
+    cfg = ScenarioConfig(scenario=values["scenario"])
     pkw = {}
     for key, raw in values.items():
         try:
             if key in PARAM_KEYS:
                 pkw[key] = float(raw)
-            elif key in ("t0", "t1", "dt"):
-                setattr(cfg, key, float(raw))
-            elif key in ("samples", "seed"):
-                setattr(cfg, key, int(raw))
-            elif key == "sweep":
-                cfg.sweep = parse_axis(raw)
-            elif key == "sweep2":
-                cfg.second_axis = parse_axis(raw)
-            elif key == "outputs":
-                cfg.outputs = tuple(c.strip() for c in raw.split(",") if c.strip())
+            elif key in RUN_KEYS:
+                name, parse = RUN_KEYS[key]
+                setattr(cfg, name, parse(raw))
             elif key == "out":
                 cfg.out_path = raw
-            elif key == "with_discord":
-                cfg.with_discord = _parse_bool(raw, key)
-            else:
+            elif key != "scenario":
                 raise ConfigError(f"unknown config key {key!r}")
         except ConfigError:
             raise
@@ -261,28 +283,22 @@ def parse_config(text):
     return validate_config(cfg)
 
 
+def parse_config(text):
+    """Parse flat key = value config text into a ScenarioConfig."""
+    return _config_from_values(_read_values(text))
+
+
 def serialize_config(cfg):
-    """Config as flat text; parse_config(serialize_config(c)) == c."""
+    """Config as flat text, run keys only where set; parse_config(serialize_config(c)) == c."""
     lines = [f"scenario = {cfg.scenario}"]
     for key in PARAM_KEYS:
         lines.append(f"{key} = {getattr(cfg.params, key)!r}")
-    lines.append(f"t0 = {cfg.t0!r}")
-    if cfg.t1 is not None:
-        lines.append(f"t1 = {cfg.t1!r}")
-    lines.append(f"dt = {cfg.dt!r}")
-    if cfg.samples is not None:
-        lines.append(f"samples = {cfg.samples}")
-    if cfg.sweep is not None:
-        lines.append(f"sweep = {cfg.sweep.spec_string()}")
-    if cfg.second_axis is not None:
-        lines.append(f"sweep2 = {cfg.second_axis.spec_string()}")
-    if cfg.outputs is not None:
-        lines.append(f"outputs = {', '.join(cfg.outputs)}")
+    for key, (name, _) in RUN_KEYS.items():
+        value = getattr(cfg, name)
+        if value is not None:
+            lines.append(f"{key} = {_as_text(value)}")
     if cfg.out_path is not None:
         lines.append(f"out = {cfg.out_path}")
-    lines.append(f"seed = {cfg.seed}")
-    if cfg.with_discord:
-        lines.append("with_discord = true")
     return "\n".join(lines) + "\n"
 
 
@@ -378,7 +394,7 @@ def _run_tasks(worker, tasks, jobs):
 
 # ---------------------------------------------------------------- scenarios
 
-def _run_spectrum(cfg, out):
+def _run_spectrum(cfg, out, jobs):
     p = cfg.params
     h = build_hamiltonian(p)
     numeric = hermitian_eigen(h).values
@@ -387,11 +403,11 @@ def _run_spectrum(cfg, out):
         [k + 1, closed[k], numeric[k], abs(closed[k] - numeric[k])]
         for k in range(4)
     ]
-    write_csv(out, ["level", "energy_closed", "energy_numeric", "abs_deviation"], rows)
+    write_csv(out, cfg.resolved_header(), rows)
     return [out]
 
 
-def _run_gibbs(cfg, out):
+def _run_gibbs(cfg, out, jobs):
     p = cfg.params
     closed = gibbs_closed_form(p).matrix()
     numeric = gibbs_numeric(p)
@@ -400,8 +416,7 @@ def _run_gibbs(cfg, out):
         for j in range(4):
             c, n = closed[i, j], numeric[i, j]
             rows.append([i, j, c.real, c.imag, n.real, n.imag, abs(c - n)])
-    header = ["row", "col", "closed_re", "closed_im", "numeric_re", "numeric_im", "abs_deviation"]
-    write_csv(out, header, rows)
+    write_csv(out, cfg.resolved_header(), rows)
     return [out]
 
 
@@ -415,17 +430,16 @@ def _swept_params(cfg):
     return runs
 
 
-def _run_per_point(cfg, out, jobs, worker, x_name):
+def _run_per_point(cfg, out, jobs, worker):
     samples = cfg.resolved_samples()
     outputs = cfg.resolved_outputs()
     runs = _swept_params(cfg)
     tasks = [(p, cfg.resolved_grid(p), samples, outputs) for _, p in runs]
     results = _run_tasks(worker, tasks, jobs)
-    header = [x_name] + list(outputs)
     paths = []
     for (suffix, _), rows in zip(runs, results):
         path = out if suffix is None else _sweep_point_path(out, *suffix)
-        write_csv(path, header, rows)
+        write_csv(path, cfg.resolved_header(), rows)
         paths.append(path)
     return paths
 
@@ -435,7 +449,7 @@ def _run_thermal_sweep(cfg, out, jobs):
     outputs = cfg.resolved_outputs()
     tasks = [(cfg.params.replace(temperature=float(tv)), outputs) for tv in axis.values()]
     rows = _run_tasks(_thermal_row, tasks, jobs)
-    write_csv(out, ["T"] + list(outputs), rows)
+    write_csv(out, cfg.resolved_header(), rows)
     return [out]
 
 
@@ -448,32 +462,50 @@ def _run_grid2d(cfg, out, jobs):
             p = cfg.params.replace(**{cfg.sweep.name: float(xv), cfg.second_axis.name: float(yv)})
             tasks.append((p, float(xv), float(yv)))
     rows = _run_tasks(_grid_point_row, tasks, jobs)
-    write_csv(out, ["x", "y"] + list(DEFAULT_OUTPUTS["grid2d"]), rows)
+    write_csv(out, cfg.resolved_header(), rows)
     return [out]
+
+
+_STATE_COLUMNS = ("concurrence", "discord", "coherence")
+_TIME_KEYS = ("t0", "t1", "dt", "samples", "sweep", "outputs")
+
+SCENARIOS = {  # name: Scenario(leading, defaults, run, keys, allowed, samples)
+    "spectrum": Scenario(
+        ("level",), ("energy_closed", "energy_numeric", "abs_deviation"), _run_spectrum),
+    "gibbs": Scenario(
+        ("row", "col"), ("closed_re", "closed_im", "numeric_re", "numeric_im", "abs_deviation"),
+        _run_gibbs),
+    "dephasing": Scenario(
+        ("t",), _STATE_COLUMNS, partial(_run_per_point, worker=_dephasing_rows),
+        _TIME_KEYS, _STATE_COLUMNS, 201),
+    "thermal-sweep": Scenario(
+        ("T",), _STATE_COLUMNS, _run_thermal_sweep, ("sweep", "outputs"), _STATE_COLUMNS),
+    "charge": Scenario(
+        ("omega_t",),
+        ("ergotropy", "power_instant", "capacity_basis", "capacity_unitary", "coherence"),
+        partial(_run_per_point, worker=_charge_rows),
+        _TIME_KEYS + ("with_discord",),
+        ("ergotropy", "work", "power_instant", "power_avg", "efficiency",
+         "capacity_basis", "capacity_unitary", "coherence", "discord"),
+        501),
+    "grid2d": Scenario(
+        ("x", "y"), ("capacity", "coherence_max", "ergotropy_max", "power_max"), _run_grid2d,
+        ("sweep", "sweep2")),
+}
 
 
 def run_scenario(cfg, jobs=1):
     """Execute a validated config; returns the list of CSV paths written."""
     validate_config(cfg)
-    out = cfg.resolved_out()
-    if cfg.scenario == "spectrum":
-        return _run_spectrum(cfg, out)
-    if cfg.scenario == "gibbs":
-        return _run_gibbs(cfg, out)
-    if cfg.scenario == "dephasing":
-        return _run_per_point(cfg, out, jobs, _dephasing_rows, X_NAMES["dephasing"])
-    if cfg.scenario == "thermal-sweep":
-        return _run_thermal_sweep(cfg, out, jobs)
-    if cfg.scenario == "charge":
-        return _run_per_point(cfg, out, jobs, _charge_rows, X_NAMES["charge"])
-    return _run_grid2d(cfg, out, jobs)
+    return SCENARIOS[cfg.scenario].run(cfg, cfg.resolved_out(), jobs)
 
 
 # ---------------------------------------------------------------- plotting
 
 def emit_plot_script(csv_path, scenario):
     """Write a gnuplot script next to the CSV; returns the script path."""
-    if scenario not in SCENARIOS:
+    sc = SCENARIOS.get(scenario)
+    if sc is None:
         raise ConfigError(f"unknown scenario {scenario!r}")
     try:
         with open(csv_path, "r", encoding="ascii") as f:
@@ -484,20 +516,26 @@ def emit_plot_script(csv_path, scenario):
     script = os.path.splitext(csv_path)[0] + ".gp"
     csv_name = os.path.basename(csv_path)
 
-    if scenario == "grid2d":
-        expected = ["x", "y"] + list(DEFAULT_OUTPUTS["grid2d"])
-        missing = [c for c in expected if c not in found]
-        if missing:
-            raise ConfigError(
-                f"{csv_path}: missing columns {', '.join(missing)}; "
-                f"expected {', '.join(expected)}, found {', '.join(found) or '(none)'}"
-            )
+    heatmap = "sweep2" in sc.keys  # a 2-D grid: one heatmap per metric
+    expected = sc.leading + sc.defaults
+    missing = [c for c in expected if c not in found]
+    if heatmap:
+        metrics = [] if missing else sc.defaults
+    else:  # x in the first column, any known metric after it
+        metrics = [c for c in found[1:] if c in sc.defaults + sc.allowed]
+        metrics = metrics if found[:1] == [sc.leading[0]] else []
+    if not metrics:
+        raise ConfigError(
+            f"{csv_path}: missing columns {', '.join(missing) or header}; "
+            f"expected {', '.join(expected)}, found {', '.join(found) or '(none)'}"
+        )
+    if heatmap:
         lines = [
             "set datafile separator ','",
             "set view map",
             "set multiplot layout 2,2",
         ]
-        for name in DEFAULT_OUTPUTS["grid2d"]:
+        for name in metrics:
             col = found.index(name) + 1
             lines += [
                 f"set title '{name}'",
@@ -505,20 +543,10 @@ def emit_plot_script(csv_path, scenario):
             ]
         lines.append("unset multiplot")
     else:
-        x_name = X_NAMES.get(scenario, "level" if scenario == "spectrum" else "row")
-        known = set(DEFAULT_OUTPUTS[scenario]) | ALLOWED_OUTPUTS.get(scenario, set())
-        metrics = [c for c in found[1:] if c in known]
-        if not found or found[0] != x_name or not metrics:
-            expected = [x_name] + list(DEFAULT_OUTPUTS[scenario])
-            missing = [c for c in expected if c not in found]
-            raise ConfigError(
-                f"{csv_path}: missing columns {', '.join(missing) or header}; "
-                f"expected {', '.join(expected)}, found {', '.join(found) or '(none)'}"
-            )
         lines = [
             "set datafile separator ','",
             "set key outside",
-            f"set xlabel '{x_name}'",
+            f"set xlabel '{sc.leading[0]}'",
         ]
         terms = [
             f"'{csv_name}' using 1:{found.index(m) + 1} with lines title '{m}'"
@@ -538,75 +566,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """Every value flag keeps its text; _config_from_values parses it."""
     parser = _Parser(prog="dipolar-qb", description=__doc__.splitlines()[0], add_help=True)
     parser.add_argument("scenario", choices=SCENARIOS)
     parser.add_argument("--config", help="flat key = value config file")
-    for key in PARAM_KEYS:
-        parser.add_argument(f"--{key}", type=float, default=None)
-    parser.add_argument("--sweep", default=None, metavar="name:min:max:count[:log]")
-    parser.add_argument("--sweep2", default=None, metavar="name:min:max:count[:log]")
-    parser.add_argument("--t0", type=float, default=None)
-    parser.add_argument("--t1", type=float, default=None)
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--outputs", default=None, help="comma-separated metric columns")
-    parser.add_argument("--out", default=None, help="output CSV path")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--with-discord", action="store_true", default=None)
+    for key in FLAG_KEYS:
+        if key == "with_discord":
+            parser.add_argument("--with-discord", action="store_const", const="true")
+        else:
+            parser.add_argument(f"--{key}")
+    parser.add_argument("--jobs")
     parser.add_argument("--emit-plot", action="store_true")
     return parser
 
 
 def _config_from_args(args):
+    """File values, then flag values over them, parsed and validated once."""
+    values = {"scenario": args.scenario}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
-                text = f.read()
+                values = _read_values(f.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        cfg = parse_config(text)
-        if cfg.scenario != args.scenario:
+        if values.get("scenario", args.scenario) != args.scenario:
             raise ConfigError(
-                f"config scenario {cfg.scenario!r} conflicts with requested {args.scenario!r}"
+                f"config scenario {values['scenario']!r} conflicts with requested {args.scenario!r}"
             )
-    else:
-        cfg = ScenarioConfig(scenario=args.scenario)
-    overrides = {k: getattr(args, k) for k in PARAM_KEYS if getattr(args, k) is not None}
-    if overrides:
-        try:
-            cfg.params = cfg.params.replace(**overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if args.sweep is not None:
-        cfg.sweep = parse_axis(args.sweep)
-    if args.sweep2 is not None:
-        cfg.second_axis = parse_axis(args.sweep2)
-    for key in ("t0", "t1", "dt", "samples", "seed"):
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, key, val)
-    if args.outputs is not None:
-        cfg.outputs = tuple(c.strip() for c in args.outputs.split(",") if c.strip())
-    if args.out is not None:
-        cfg.out_path = args.out
-    if args.with_discord:
-        cfg.with_discord = True
-    return validate_config(cfg)
+    values.update((k, getattr(args, k)) for k in FLAG_KEYS if getattr(args, k) is not None)
+    return _config_from_values(values)
 
 
 def _resolve_jobs(args):
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        env = os.environ.get("DIPOLAR_QB_JOBS")
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ConfigError(f"DIPOLAR_QB_JOBS must be an integer, got {env!r}") from None
-        else:
-            jobs = os.cpu_count() or 1
+    raw, source = args.jobs, "jobs"
+    if raw is None:
+        raw, source = os.environ.get("DIPOLAR_QB_JOBS"), "DIPOLAR_QB_JOBS"
+        if not raw:
+            return os.cpu_count() or 1
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer, got {raw!r}") from None
     if jobs < 1:
         raise ConfigError("jobs must be a positive integer")
     return jobs

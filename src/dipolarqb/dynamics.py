@@ -40,7 +40,6 @@ from .model import (
     SIGMA_X,
     build_hamiltonian,
     charging_unitary,
-    kron,
 )
 
 TRACE_DRIFT_LIMIT = 1e-6
@@ -102,7 +101,7 @@ class TimeSeries:
 
 def collapse_operators(p):
     g = np.sqrt(p.gamma)
-    return [g * kron(SIGMA_X, IDENTITY_2), g * kron(IDENTITY_2, SIGMA_X)]
+    return [g * np.kron(SIGMA_X, IDENTITY_2), g * np.kron(IDENTITY_2, SIGMA_X)]
 
 
 def lindblad_rhs(p, rho):
@@ -214,7 +213,7 @@ def charge_trajectory(p, rho0, grid, ordering="left", n_samples=DEFAULT_SAMPLES)
 
 
 def is_valid_state(rho, herm_tol=1e-9, trace_tol=1e-8, psd_tol=1e-8):
-    """Cheap validity probe used by tests and the CLI's sanity checks."""
+    """Cheap validity probe for tests and demos; no production path calls it."""
     if hermiticity_defect(rho) > herm_tol:
         return False
     if abs(np.trace(rho).real - 1.0) > trace_tol:

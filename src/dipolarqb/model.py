@@ -93,21 +93,17 @@ class ModelParams:
         return math.sqrt(self.field**2 + self.ksea**2 + self.epsilon**2)
 
 
-def kron(a, b):
-    return np.kron(a, b)
-
-
 def build_hamiltonian(p):
     """Assemble the 4x4 battery Hamiltonian for parameters `p`."""
     d, e = p.delta, p.epsilon
-    h = p.dm * (kron(SIGMA_X, SIGMA_Y) - kron(SIGMA_Y, SIGMA_X))
-    h += p.ksea * (kron(SIGMA_X, SIGMA_Y) + kron(SIGMA_Y, SIGMA_X))
+    h = p.dm * (np.kron(SIGMA_X, SIGMA_Y) - np.kron(SIGMA_Y, SIGMA_X))
+    h += p.ksea * (np.kron(SIGMA_X, SIGMA_Y) + np.kron(SIGMA_Y, SIGMA_X))
     h -= (1.0 / 3.0) * (
-        (d - 3.0 * e) * kron(SIGMA_X, SIGMA_X)
-        + (d + 3.0 * e) * kron(SIGMA_Y, SIGMA_Y)
-        - 2.0 * d * kron(SIGMA_Z, SIGMA_Z)
+        (d - 3.0 * e) * np.kron(SIGMA_X, SIGMA_X)
+        + (d + 3.0 * e) * np.kron(SIGMA_Y, SIGMA_Y)
+        - 2.0 * d * np.kron(SIGMA_Z, SIGMA_Z)
     )
-    h += p.field * (kron(SIGMA_Z, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Z))
+    h += p.field * (np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z))
     return h
 
 
@@ -174,7 +170,7 @@ def closed_form_spectrum(p):
 
 def charging_hamiltonian(p):
     """H_ch = omega (sx x 1 + 1 x sx); eigenvalues {-2w, 0, 0, 2w}."""
-    return p.omega * (kron(SIGMA_X, IDENTITY_2) + kron(IDENTITY_2, SIGMA_X))
+    return p.omega * (np.kron(SIGMA_X, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_X))
 
 
 def charging_unitary(p, t):

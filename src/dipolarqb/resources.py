@@ -39,7 +39,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .linalg import partial_trace, von_neumann_entropy
-from .model import SIGMA_Y, kron
+from .model import SIGMA_Y
 
 GRID_N = 64
 POLISH_STARTS = 5
@@ -58,7 +58,7 @@ def l1_coherence(rho):
 def concurrence(rho):
     """Two-qubit entanglement monotone from the spin-flipped spectrum."""
     rho = np.asarray(rho, dtype=complex)
-    yy = kron(SIGMA_Y, SIGMA_Y)
+    yy = np.kron(SIGMA_Y, SIGMA_Y)
     prod = rho @ yy @ rho.conj() @ yy
     ev = np.linalg.eigvals(prod).real
     lams = np.sqrt(np.clip(ev, 0.0, None))

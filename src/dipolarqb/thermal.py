@@ -32,6 +32,7 @@ which agrees with the Hamiltonian eigenbasis; see
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,12 +84,29 @@ class GibbsClosedForm:
         return m
 
 
-def gibbs_closed_form(p):
-    """Analytic Gibbs entries, overflow-safe for any T > 0.
+class _ThermalTerms(NamedTuple):
+    """Exponent-shifted building blocks shared by every thermal closed form.
 
-    Every term is a ratio of sums of exponentials with arguments
-    a1 = 4 delta/(3T) + S, a2 = 4 delta/(3T) - S, a3 = J, a4 = -J;
-    factoring out the largest argument keeps all intermediates finite.
+    With W = exp(4 delta/(3T)), S = 2 kappa1/(3T), J = 2 kappa2/T and m
+    the largest of a = (log W + S, log W - S, J, -J), every quantity but
+    the arguments carries the factor e^{-m}, which cancels in each ratio.
+    """
+
+    j_arg: float
+    s_arg: float
+    e: tuple  # exp(a - m): W e^S, W e^-S, e^J, e^-J
+    twod0: float  # 2 D0 = 2 (W cosh S + cosh J)
+    w_cosh_s: float
+    cosh_j: float
+    ws_over_k1: float  # W sinh(S) / kappa1
+    sinhj_over_k2: float  # sinh(J) / kappa2
+
+
+def _thermal_terms(p):
+    """Shifted exponentials of the Gibbs closed forms, finite for any T > 0.
+
+    The sinh/kappa ratios go through sinh(x)/x series branches for small
+    arguments, so the kappa -> 0 corners are exact rather than 0/0.
     """
     if p.temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {p.temperature!r}")
@@ -99,29 +117,29 @@ def gibbs_closed_form(p):
     w_arg = 4.0 * p.delta / (3.0 * T)
     a = (w_arg + S, w_arg - S, J, -J)
     m = max(a)
-    e1, e2, e3, e4 = (math.exp(x - m) for x in a)
-    # 2 D0 e^{-m} = e1 + e2 + e3 + e4
-    twod0 = e1 + e2 + e3 + e4
-    cosh_j = 0.5 * (e3 + e4)  # all of these carry the e^{-m} factor
-    w_cosh_s = 0.5 * (e1 + e2)
-    # sinh(J)/kappa2 * e^{-m}: series branch for the kappa2 -> 0 corner
-    # (J = 2 kappa2 / T), scaled difference otherwise
+    e1, e2, e3, e4 = e = tuple(math.exp(x - m) for x in a)
     if J < 1e-6:
         sinhj_over_k2 = (2.0 / T) * _sinhc(J) * math.exp(-m)
     else:
         sinhj_over_k2 = 0.5 * (e3 - e4) / k2
-    # W sinh(S)/kappa1 * e^{-m}: same treatment (S = 2 kappa1 / (3T))
     if S < 1e-6:
         ws_over_k1 = (2.0 / (3.0 * T)) * _sinhc(S) * math.exp(w_arg - m)
     else:
         ws_over_k1 = 0.5 * (e1 - e2) / k1
-    b_ratio = p.field * sinhj_over_k2
-    z11 = (cosh_j - b_ratio) / twod0
-    z44 = (cosh_j + b_ratio) / twod0
-    z22 = w_cosh_s / twod0
-    z14 = 1j * (p.ksea + 1j * p.epsilon) * sinhj_over_k2 / twod0
-    z23 = (p.delta - 3j * p.dm) * ws_over_k1 / twod0
-    return GibbsClosedForm(z11=float(z11), z14=complex(z14), z22=float(z22), z23=complex(z23), z44=float(z44), j_arg=J, s_arg=S)
+    return _ThermalTerms(J, S, e, e1 + e2 + e3 + e4, 0.5 * (e1 + e2), 0.5 * (e3 + e4),
+                         ws_over_k1, sinhj_over_k2)
+
+
+def gibbs_closed_form(p):
+    """Analytic Gibbs entries, overflow-safe for any T > 0."""
+    t = _thermal_terms(p)
+    b_ratio = p.field * t.sinhj_over_k2
+    z11 = (t.cosh_j - b_ratio) / t.twod0
+    z44 = (t.cosh_j + b_ratio) / t.twod0
+    z22 = t.w_cosh_s / t.twod0
+    z14 = 1j * (p.ksea + 1j * p.epsilon) * t.sinhj_over_k2 / t.twod0
+    z23 = (p.delta - 3j * p.dm) * t.ws_over_k1 / t.twod0
+    return GibbsClosedForm(z11=float(z11), z14=complex(z14), z22=float(z22), z23=complex(z23), z44=float(z44), j_arg=t.j_arg, s_arg=t.s_arg)
 
 
 @dataclass
@@ -150,16 +168,8 @@ class GibbsSpectrumDiagnostics:
 
 def _closed_form_phis(p):
     """Analytic Gibbs eigenvalues, descending, overflow-safe."""
-    T = p.temperature
-    k1, k2 = p.kappa1(), p.kappa2()
-    J = 2.0 * k2 / T
-    S = 2.0 * k1 / (3.0 * T)
-    w_arg = 4.0 * p.delta / (3.0 * T)
-    a = (w_arg + S, w_arg - S, J, -J)
-    m = max(a)
-    weights = [math.exp(x - m) for x in a]
-    twod0 = sum(weights)
-    return np.sort(np.array(weights) / twod0)[::-1]
+    t = _thermal_terms(p)
+    return np.sort(np.array(t.e) / t.twod0)[::-1]
 
 
 def _log_sinh(x):

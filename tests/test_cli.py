@@ -22,9 +22,10 @@ from dipolarqb.cli import (
     PARAM_KEYS,
     SCENARIOS,
     AxisSpec,
+    RUN_KEYS,
     ConfigError,
-    DEFAULT_OUTPUTS,
     ScenarioConfig,
+    build_parser,
     emit_plot_script,
     main,
     parse_axis,
@@ -34,6 +35,7 @@ from dipolarqb.cli import (
     validate_config,
     write_csv,
 )
+from dipolarqb.cli import _config_from_args
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -81,7 +83,7 @@ class TestParseConfig:
         cfg = parse_config("scenario = dephasing\n")
         assert cfg.scenario == "dephasing"
         assert cfg.params == ModelParams()
-        assert cfg.resolved_outputs() == DEFAULT_OUTPUTS["dephasing"]
+        assert cfg.resolved_outputs() == SCENARIOS["dephasing"].defaults
         assert cfg.resolved_out() == "dephasing.csv"
 
     def test_comments_and_blanks_ignored(self):
@@ -99,7 +101,6 @@ class TestParseConfig:
             dt=1e-3,
             samples=11,
             out_path="runs/demo.csv",
-            seed=7,
             with_discord=True,
         )
         assert parse_config(serialize_config(cfg)) == cfg
@@ -129,9 +130,9 @@ class TestParseConfig:
 class TestValidateConfig:
     def test_diagnostics_reject_sweeps_and_outputs(self):
         for scen in ("spectrum", "gibbs"):
-            with pytest.raises(ConfigError, match="sweeps not supported"):
+            with pytest.raises(ConfigError, match="does not take sweep"):
                 validate_config(ScenarioConfig(scenario=scen, sweep=AxisSpec("delta", 0, 1, 3)))
-            with pytest.raises(ConfigError, match="not configurable"):
+            with pytest.raises(ConfigError, match="does not take outputs"):
                 validate_config(ScenarioConfig(scenario=scen, outputs=("abs_deviation",)))
 
     def test_grid2d_rules(self):
@@ -142,7 +143,7 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="different parameters"):
             validate_config(ScenarioConfig(scenario="grid2d", sweep=ax,
                                            second_axis=AxisSpec("delta", 1.0, 2.0, 3)))
-        with pytest.raises(ConfigError, match="not configurable"):
+        with pytest.raises(ConfigError, match="does not take outputs"):
             validate_config(ScenarioConfig(scenario="grid2d", sweep=ax, second_axis=ay,
                                            outputs=("capacity",)))
         validate_config(ScenarioConfig(scenario="grid2d", sweep=ax, second_axis=ay))
@@ -241,7 +242,7 @@ class TestRunScenario:
                              dt=1e-2, samples=5, out_path=out)
         run_scenario(cfg)
         header, body = read_table(out)
-        assert header == ["omega_t"] + list(DEFAULT_OUTPUTS["charge"])
+        assert header == ["omega_t"] + list(SCENARIOS["charge"].defaults)
         # default span is one period, and the grid ends on it exactly
         assert abs(body[-1, 0] - np.pi) < 1e-12
         cap_cols = body[:, [3, 4]]
@@ -374,6 +375,14 @@ class TestMain:
         # delta = 2 spectrum: +-2(delta+kappa1)/3 family, not the delta=1 one
         assert abs(body[:, 1].min() - (-8.0 / 3.0)) < 1e-12
 
+    def test_flag_overrides_unparsable_file_value(self, tmp_path, capsys):
+        conf = tmp_path / "run.cfg"
+        conf.write_text("scenario = spectrum\ndelta = one\n")
+        out = str(tmp_path / "s.csv")
+        assert main(["spectrum", "--config", str(conf), "--delta", "2", "--out", out]) == 0
+        assert main(["spectrum", "--config", str(conf), "--out", out]) == 1
+        assert "bad value for delta" in capsys.readouterr().err
+
     def test_config_scenario_conflict(self, tmp_path, capsys):
         conf = tmp_path / "run.cfg"
         conf.write_text("scenario = gibbs\n")
@@ -415,6 +424,53 @@ class TestMain:
         assert "DIPOLAR_QB_JOBS" in capsys.readouterr().err
 
 
+# a text value for each run key, valid wherever the key is taken
+RUN_KEY_VALUES = {
+    "t0": "0", "t1": "1", "dt": "0.01", "samples": "3", "sweep": "temperature:0.5:1:2",
+    "sweep2": "epsilon:0:1:2", "outputs": "coherence", "with_discord": "true",
+}
+# what each scenario needs to run, so an untaken key is the only fault
+SCENARIO_BASE = {"grid2d": "sweep = delta:0:1:2\nsweep2 = epsilon:0:1:2\n"}
+UNTAKEN_KEYS = [(name, key) for name, sc in SCENARIOS.items() for key in RUN_KEYS
+                if key not in sc.keys]
+
+
+def key_flag(key, raw):
+    return ["--with-discord"] if key == "with_discord" else [f"--{key}", raw]
+
+
+class TestStrictKeys:
+    def test_every_scenario_refuses_some_key(self):
+        assert {name for name, _ in UNTAKEN_KEYS} == set(SCENARIOS)
+        assert all(set(sc.keys) <= set(RUN_KEYS) for sc in SCENARIOS.values())
+
+    @pytest.mark.parametrize(("scenario", "key"), UNTAKEN_KEYS)
+    def test_untaken_key_is_config_error(self, tmp_path, capsys, scenario, key):
+        base = tmp_path / "base.cfg"
+        base.write_text(f"scenario = {scenario}\n" + SCENARIO_BASE.get(scenario, ""))
+        keyed = tmp_path / "keyed.cfg"
+        keyed.write_text(base.read_text() + f"{key} = {RUN_KEY_VALUES[key]}\n")
+        out = tmp_path / "out" / "x.csv"
+        for argv in (["--config", str(base)] + key_flag(key, RUN_KEY_VALUES[key]),
+                     ["--config", str(keyed)]):
+            assert main([scenario, *argv, "--jobs", "1", "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert f"config error: {scenario} does not take {key};" in err
+            assert "Traceback" not in err
+            assert not out.parent.exists()
+
+    def test_reported_invocations_are_config_errors(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main("spectrum --t1 -5 --dt 0 --samples 3 --with-discord".split()) == 1
+        err = capsys.readouterr().err
+        assert "spectrum does not take t1, dt, samples, with_discord;" in err
+        assert main("grid2d --sweep delta:0:1:2 --sweep2 epsilon:0:1:2 "
+                    "--with-discord --samples 3".split()) == 1
+        err = capsys.readouterr().err
+        assert "grid2d does not take samples, with_discord;" in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestCheckedInConfigs:
     def test_all_parse_and_validate(self):
         paths = sorted(CONFIG_DIR.glob("*.cfg"))
@@ -422,6 +478,20 @@ class TestCheckedInConfigs:
         for path in paths:
             cfg = parse_config(path.read_text())
             assert cfg.resolved_out().startswith("results/")
+
+    def test_flags_parse_like_the_file(self):
+        for path in sorted(CONFIG_DIR.glob("*.cfg")):
+            text = path.read_text()
+            argv = []
+            for line in text.splitlines():
+                key, _, raw = (part.strip() for part in line.partition("="))
+                argv += [raw] if key == "scenario" else key_flag(key, raw)
+            assert _config_from_args(build_parser().parse_args(argv)) == parse_config(text), path
+
+    def test_serialize_round_trip(self):
+        for path in sorted(CONFIG_DIR.glob("*.cfg")):
+            cfg = parse_config(path.read_text())
+            assert parse_config(serialize_config(cfg)) == cfg, path
 
     def test_dephasing_sweep_values(self):
         cfg = parse_config((CONFIG_DIR / "dephasing_epsilon.cfg").read_text())
@@ -444,9 +514,10 @@ class TestCheckedInConfigs:
 
 
 # Fuzzed CLI values: zero, negatives, non-finite, swapped bounds, malformed
-# and non-numeric specs.  Magnitudes stay small and --samples is always
-# passed small, so no example integrates long or evaluates many states;
-# --jobs is pinned to 1 because every job is an OS process.
+# and non-numeric specs.  Magnitudes stay small and the two scenarios that
+# take --samples always get a small one, so no example integrates long or
+# evaluates many states; --jobs is pinned to 1 because every job is an OS
+# process.
 FUZZ_NUMBERS = ("0", "-0", "-1", "1", "0.5", "2", "1e-3", "nan", "inf", "-inf", "abc", "")
 FUZZ_SAMPLES = ("-1", "0", "1", "2", "3", "2.5", "x")
 FUZZ_SWEEPS = (
@@ -459,17 +530,19 @@ FUZZ_OUTPUTS = ("concurrence", "discord,coherence", "ergotropy,power_avg", "puri
 FUZZ_FLAGS = (
     [(f"--{k}", FUZZ_NUMBERS) for k in PARAM_KEYS]
     + [("--t0", FUZZ_NUMBERS), ("--t1", FUZZ_NUMBERS), ("--dt", FUZZ_NUMBERS),
-       ("--seed", FUZZ_SAMPLES), ("--sweep", FUZZ_SWEEPS), ("--sweep2", FUZZ_SWEEPS),
+       ("--sweep", FUZZ_SWEEPS), ("--sweep2", FUZZ_SWEEPS),
        ("--outputs", FUZZ_OUTPUTS)]
 )
 FUZZ_CONFIG_KEYS = PARAM_KEYS + ("t0", "t1", "dt", "samples", "sweep", "sweep2",
-                                 "outputs", "with_discord", "seed", "bogus")
+                                 "outputs", "with_discord", "bogus")
 
 
 @st.composite
 def fuzzed_invocation(draw):
-    scenario = draw(st.sampled_from(SCENARIOS + ("warp",)))
-    argv = [scenario, "--jobs", "1", "--samples", draw(st.sampled_from(FUZZ_SAMPLES))]
+    scenario = draw(st.sampled_from(tuple(SCENARIOS) + ("warp",)))
+    argv = [scenario, "--jobs", "1"]
+    if scenario in ("dephasing", "charge"):
+        argv += ["--samples", draw(st.sampled_from(FUZZ_SAMPLES))]
     for flag, values in draw(st.lists(st.sampled_from(FUZZ_FLAGS), max_size=4)):
         argv += [flag, draw(st.sampled_from(values))]
     for flag in ("--with-discord", "--emit-plot"):
@@ -477,7 +550,7 @@ def fuzzed_invocation(draw):
             argv.append(flag)
     config = None
     if draw(st.booleans()):
-        lines = [f"scenario = {draw(st.sampled_from(SCENARIOS + ('warp',)))}"]
+        lines = [f"scenario = {draw(st.sampled_from(tuple(SCENARIOS) + ('warp',)))}"]
         for key in draw(st.lists(st.sampled_from(FUZZ_CONFIG_KEYS), max_size=4)):
             pool = FUZZ_SAMPLES if key == "samples" else FUZZ_SWEEPS + FUZZ_NUMBERS
             lines.append(f"{key} = {draw(st.sampled_from(pool))}")
