@@ -25,7 +25,6 @@ Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -73,7 +72,7 @@ class AxisSpec:
         return np.linspace(self.lo, self.hi, self.count)
 
     def spec_string(self):
-        base = f"{self.name}:{self.lo!r}:{self.hi!r}:{self.count}"
+        base = f"{self.name}:{float(self.lo)!r}:{float(self.hi)!r}:{self.count}"
         return base + (":log" if self.log else "")
 
 
@@ -130,7 +129,8 @@ def _as_text(value):
         return value.spec_string()
     if isinstance(value, tuple):
         return ", ".join(value)
-    return repr(value)
+    # a numpy scalar's repr (np.float64(1.5)) does not parse back
+    return repr(value.item() if isinstance(value, np.generic) else value)
 
 
 @dataclass(frozen=True)
@@ -387,6 +387,8 @@ def _run_tasks(worker, tasks, jobs):
     """Map tasks to the pool, preserving order; inline when jobs == 1."""
     if jobs == 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # --jobs 1 never loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(tasks) // (4 * jobs))
         return list(pool.map(worker, tasks, chunksize=chunk))
@@ -633,7 +635,8 @@ def main(argv=None):
         print(f"dipolar-qb: config error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # numeric failure from the inner modules
-        print(f"dipolar-qb: numeric failure in {cfg.scenario}: {exc}", file=sys.stderr)
+        print(f"dipolar-qb: numeric failure in {cfg.scenario}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
     for path in paths:
         print(path)

@@ -14,7 +14,6 @@ state rather than silently floored.
 """
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 HERM_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
@@ -121,7 +120,9 @@ def matrix_exp(m):
         h = 0.5 * (im + im.conj().T)  # m = -i h
         w, v = np.linalg.eigh(h)
         return (v * np.exp(-1j * w)) @ v.conj().T
-    return _scipy_expm(m)
+    from scipy.linalg import expm  # imported here: only this branch needs scipy
+
+    return expm(m)
 
 
 def partial_trace(rho, keep="A"):

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .linalg import partial_trace, von_neumann_entropy
 from .model import SIGMA_Y
@@ -190,6 +189,8 @@ def _scalar_objective(r4):
 
 def _general_search(r4):
     """(conditional entropy, (theta, phi), evals): grid plus Nelder-Mead."""
+    from scipy.optimize import minimize  # at first use: importing the package skips scipy
+
     thetas = np.linspace(0.0, np.pi, GRID_N)
     phis = np.linspace(0.0, 2.0 * np.pi, GRID_N, endpoint=False)
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
@@ -216,6 +217,8 @@ def _general_search(r4):
 
 def _x_state_search(r4):
     """Same contract as _general_search, exact for X-states (module doc)."""
+    from scipy.optimize import minimize_scalar
+
     phi = 0.5 * (np.angle(r4[1, 0, 0, 1]) - np.angle(r4[0, 0, 1, 1]))
     thetas = np.linspace(0.0, 0.5 * np.pi, X_THETA_N)
     cond = _conditional_entropy(r4, thetas, np.full(X_THETA_N, phi))

@@ -3,7 +3,8 @@
 One test per shipped guarantee, each printing a single pass/fail line
 under pytest -v.  Numbers quoted in assertions are the contract
 tolerances, not observed values; a structured summary of what was
-actually measured lands in acceptance_report.txt at the repo root.
+actually measured lands in acceptance_report.txt at the repo root;
+wall times go to the test output (pytest -s) instead.
 """
 
 import time
@@ -52,6 +53,12 @@ def _record(line):
     _REPORT.append(line)
 
 
+def _wall_time(criterion, seconds):
+    # to the test output, not the report, so the report changes only
+    # when a measured deviation does
+    print(f"criterion {criterion}: {seconds:.2f}s")
+
+
 @pytest.fixture(scope="module", autouse=True)
 def acceptance_report():
     yield
@@ -70,7 +77,8 @@ def test_criterion_01_spectrum_oracle():
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
     elapsed = time.perf_counter() - t0
     _record(f"criterion 1: worst spectrum multiset deviation {worst:.3e} "
-            f"over 1000 draws in [-10,10]^5, {elapsed:.2f}s")
+            "over 1000 draws in [-10,10]^5")
+    _wall_time(1, elapsed)
     assert worst < 1e-10
     assert elapsed < 5.0
 
@@ -228,7 +236,8 @@ def test_criterion_06_peak_location_and_constant_capacity():
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _record(f"criterion 6: ergotropy peak at Omega*t = {peak_at:.6f} "
-            f"(pi/4 = {np.pi / 4:.6f}), capacity wobble {worst_cap:.3e}, {elapsed:.2f}s")
+            f"(pi/4 = {np.pi / 4:.6f}), capacity wobble {worst_cap:.3e}")
+    _wall_time(6, elapsed)
 
 
 def test_criterion_07_closed_form_oracle_over_sweep_ranges():
@@ -347,8 +356,9 @@ def test_criterion_08_qualitative_trends():
         f"criterion 8: coherence peaks {peaks[0]:.3f} >= {peaks[1]:.3f} >= {peaks[2]:.3f} "
         f"across field; hot-limit measures <= {hot_worst:.3e}; ergotropy peaks "
         "monotone over temperature; trajectory invariance dev "
-        f"{max(worst_dm, worst_delta):.1e} across dipolar/axial couplings; {elapsed:.1f}s"
+        f"{max(worst_dm, worst_delta):.1e} across dipolar/axial couplings"
     )
+    _wall_time(8, elapsed)
 
 
 def test_criterion_09_config_determinism(tmp_path):
@@ -370,4 +380,5 @@ def test_criterion_09_config_determinism(tmp_path):
             )
             compared += 1
     _record(f"criterion 9: {compared} CSVs from {len(configs)} configs byte-identical "
-            f"across two runs, {time.perf_counter() - t0:.0f}s")
+            "across two runs")
+    _wall_time(9, time.perf_counter() - t0)

@@ -72,6 +72,11 @@ class TestAxisSpec:
             ax = parse_axis(spec)
             assert parse_axis(ax.spec_string()) == ax
 
+    def test_numpy_bounds_round_trip(self):
+        ax = AxisSpec("field", np.float64(0.1), np.float64(2.5), np.int64(9), log=True)
+        assert ax.spec_string() == "field:0.1:2.5:9:log"
+        assert parse_axis(ax.spec_string()) == ax
+
     def test_parse_rejects_malformed(self):
         for bad in ("delta:0:1", "delta:a:1:5", "delta:0:1:5:exp", "delta"):
             with pytest.raises(ConfigError, match="sweep"):
@@ -104,6 +109,16 @@ class TestParseConfig:
             with_discord=True,
         )
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_numpy_scalar_run_keys_round_trip(self):
+        cfg = ScenarioConfig(
+            scenario="charge", t0=np.float32(0.25), t1=np.float64(1.5), dt=np.float64(1e-3),
+            samples=np.int64(11), with_discord=np.bool_(True),
+            sweep=AxisSpec("temperature", np.float64(0.5), np.float64(4.0), 3),
+        )
+        text = serialize_config(cfg)
+        assert "np." not in text
+        assert parse_config(text) == cfg
 
     def test_round_trip_preserves_float_precision(self):
         cfg = ScenarioConfig(scenario="charge", params=ModelParams(delta=1 / 3))
