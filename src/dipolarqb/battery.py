@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TimeGrid, TimeSeries
-from .linalg import hermitian_eigen, require_hermitian
+from .linalg import golden_max, hermitian_eigen, require_hermitian
 from .model import build_hamiltonian, charging_hamiltonian, charging_unitary
 from .resources import l1_coherence
 from .thermal import _sinhc, _thermal_terms, gibbs_numeric
@@ -347,26 +347,6 @@ def charging_orbit_arrays(p, n_grid=PEAK_GRID_N):
     return s, xi, power, coherence
 
 
-def _golden_max(f, lo, hi, tol=PEAK_TOL):
-    """Golden-section maximization on [lo, hi]; deterministic."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
-
-
 @dataclass
 class OrbitPeaks:
     """Per-parameter-point maxima over one charging period.
@@ -414,7 +394,7 @@ def orbit_peaks(p, n_grid=PEAK_GRID_N, tol=PEAK_TOL):
         k = int(np.argmax(arr))
         lo = s[max(0, k - 1)]
         hi = s[min(n_grid - 1, k + 1)]
-        where, refined = _golden_max(fn, lo, hi, tol=tol)
+        where, refined = golden_max(fn, lo, hi, tol)
         if refined >= arr[k]:
             out.append(refined)
             locs.append(where)

@@ -5,13 +5,15 @@ helpers here add the validation semantics the rest of the package relies
 on: Hermiticity checks that report the worst offending entry, an
 eigendecomposition with deterministic ordering and degenerate-subspace
 re-orthonormalization, a matrix exponential that routes Hermitian and
-anti-Hermitian inputs through their eigenbasis, partial traces over
-either qubit, and the von Neumann entropy in bits.
+anti-Hermitian inputs through their eigenbasis, partial traces, the
+von Neumann entropy in bits, and the one 1-D refiner (golden section).
 
 Entropy eigenvalues in [-1e-10, 0) are treated as round-off and clipped
 to zero; anything more negative is rejected as a genuinely invalid
 state rather than silently floored.
 """
+
+import math
 
 import numpy as np
 
@@ -176,3 +178,23 @@ def entropy_2x2(a, d, b):
         if lam > 0.0:
             out -= lam * np.log2(lam)
     return out
+
+
+def golden_max(f, lo, hi, tol):
+    """Golden-section maximization on [lo, hi]; deterministic."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    mid = 0.5 * (a + b)
+    return mid, f(mid)

@@ -23,7 +23,7 @@
     phi* = (arg rho_21 - arg rho_03) / 2 maximises the modulus of their
     off-diagonal for every theta, so phi* is optimal.  The objective is
     also symmetric under theta -> pi - theta, so a coarse theta grid on
-    [0, pi/2] refined by bounded Brent finds the optimum, including the
+    [0, pi/2] refined by golden section finds the optimum, including the
     intermediate angles Huang, PRA 88, 014302 (2013) shows can occur.
   - Every other state gets a 64x64 coarse grid over (theta, phi)
     followed by Nelder-Mead polish from the five best cells; the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace, von_neumann_entropy
+from .linalg import golden_max, partial_trace, von_neumann_entropy
 from .model import SIGMA_Y
 
 GRID_N = 64
@@ -217,23 +217,21 @@ def _general_search(r4):
 
 def _x_state_search(r4):
     """Same contract as _general_search, exact for X-states (module doc)."""
-    from scipy.optimize import minimize_scalar
-
-    phi = 0.5 * (np.angle(r4[1, 0, 0, 1]) - np.angle(r4[0, 0, 1, 1]))
-    thetas = np.linspace(0.0, 0.5 * np.pi, X_THETA_N)
+    phi = float(0.5 * (np.angle(r4[1, 0, 0, 1]) - np.angle(r4[0, 0, 1, 1])))
+    thetas = np.linspace(0.0, 0.5 * np.pi, X_THETA_N).tolist()
     cond = _conditional_entropy(r4, thetas, np.full(X_THETA_N, phi))
     i = int(np.argmin(cond))
-    best_val, best_theta = float(cond[i]), float(thetas[i])
+    best_val, best_theta = float(cond[i]), thetas[i]
     objective = _scalar_objective(r4)
-    res = minimize_scalar(
-        lambda theta: objective((theta, phi)),
-        bounds=(thetas[max(i - 1, 0)], thetas[min(i + 1, X_THETA_N - 1)]),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    if res.fun < best_val:
-        best_val, best_theta = float(res.fun), float(res.x)
-    return best_val, (best_theta, float(phi)), X_THETA_N + int(res.nfev)
+    tried = []
+
+    def gain(theta):  # golden_max maximizes: negate the entropy
+        tried.append(theta)
+        return -objective((theta, phi))
+    theta, refined = golden_max(gain, thetas[max(i - 1, 0)], thetas[min(i + 1, X_THETA_N - 1)], 1e-10)
+    if -refined < best_val:  # keep the grid value unless refinement lowers it
+        best_val, best_theta = -refined, theta
+    return best_val, (best_theta, phi), X_THETA_N + len(tried)
 
 
 def _discord(rho, search):

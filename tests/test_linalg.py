@@ -14,6 +14,7 @@ from dipolarqb import (
     require_hermitian,
     von_neumann_entropy,
 )
+from dipolarqb.linalg import golden_max
 from conftest import bell_state, ket00, random_density, random_hermitian
 
 
@@ -179,3 +180,47 @@ class TestHermiticityChecks:
 def test_eigen_rejects_unknown_order(rng):
     with pytest.raises(ValueError, match="order"):
         hermitian_eigen(random_hermitian(rng), order="sideways")
+
+
+class TestGoldenMax:
+    def test_known_interior_maximum(self):
+        # a kinked peak is located to the bracket tolerance
+        for peak in (0.3, 0.61803, 0.999):
+            where, value = golden_max(lambda x: -abs(x - peak), 0.0, 1.0, 1e-10)
+            assert abs(where - peak) <= 1e-10
+            assert value == -abs(where - peak)
+
+    def test_smooth_maximum_to_rounding(self):
+        # at a smooth peak f is flat to rounding within ~sqrt(eps) of it,
+        # so the value is exact and the location good to ~1e-8
+        for f, lo, hi, peak in (
+            (lambda x: 2.0 - (x - 0.3) ** 2, 0.0, 1.0, 0.3),
+            (np.sin, 1.0, 2.5, np.pi / 2),
+            (lambda x: x * np.exp(-x), 0.2, 3.0, 1.0),
+        ):
+            where, value = golden_max(f, lo, hi, 1e-10)
+            assert abs(where - peak) < 1e-7
+            assert abs(value - f(peak)) < 1e-15
+
+    def test_maximum_at_an_end_of_the_bracket(self):
+        where, _ = golden_max(lambda x: x, 0.0, 0.1, 1e-10)
+        assert 0.1 - 1e-10 <= where <= 0.1
+
+    def test_repeat_calls_are_identical(self):
+        def run():
+            seen = []
+
+            def f(x):
+                seen.append(x)
+                return np.cos(3.0 * x) + 0.1 * x
+
+            return golden_max(f, 0.5, 1.7, 1e-10), seen
+
+        assert run() == run()
+
+    def test_negated_function_gives_the_minimum(self):
+        where, _ = golden_max(lambda x: -abs(x - 0.7), -1.0, 2.0, 1e-10)
+        assert abs(where - 0.7) <= 1e-10
+        where, value = golden_max(lambda x: -np.cosh(x - 0.7), -1.0, 2.0, 1e-10)
+        assert abs(where - 0.7) < 1e-7
+        assert abs(-value - 1.0) < 1e-15

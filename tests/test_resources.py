@@ -24,6 +24,7 @@ from dipolarqb.resources import (
     _general_search,
     _projector_pairs,
     _scalar_objective,
+    _x_state_search,
 )
 from conftest import bell_state, ket00, random_density
 
@@ -214,6 +215,21 @@ class TestXStateDiscord:
         cond = _conditional_entropy(rho.reshape(2, 2, 2, 2), np.array([0.0, np.pi / 2, d.theta]),
                                     np.full(3, d.phi))
         assert min(cond[0], cond[1]) - cond[2] > 1e-3
+
+    def test_never_above_a_dense_theta_scan(self):
+        # an oracle that shares no optimizer with either route: 20001
+        # theta points over [0, pi] at the closed-form phi*
+        intermediate = np.diag([0.93, 0.0, 0.035, 0.035]).astype(complex)
+        intermediate[0, 3] = intermediate[3, 0] = 0.16
+        rng = np.random.default_rng(2024)
+        thetas = np.linspace(0.0, np.pi, 20001)
+        for rho in [intermediate] + [random_x_state(rng) for _ in range(200)]:
+            r4 = rho.reshape(2, 2, 2, 2)
+            phi = 0.5 * (np.angle(rho[2, 1]) - np.angle(rho[0, 3]))
+            scan = _conditional_entropy(r4, thetas, np.full(thetas.size, phi)).min()
+            best, _, evals = _x_state_search(r4)
+            assert evals < 100
+            assert best <= scan + 1e-12
 
     def test_measure_b_matches_a_on_swap_symmetric_states(self):
         rng = np.random.default_rng(77)

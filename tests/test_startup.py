@@ -1,10 +1,13 @@
 """Start-up cost: what importing and running the CLI loads.
 
 scipy and multiprocessing are imported at their first use, so a fresh
-interpreter that imports dipolarqb, or runs a study that needs neither
-discord nor a general matrix exponential with --jobs 1, never loads
-them.  Each test runs in its own child interpreter, because this one has
-long since imported both.
+interpreter that imports dipolarqb, or runs any study with --jobs 1
+except `charge --with-discord`, never loads them.  Discord of X-states
+(every dephasing and thermal-sweep state) is numpy-only; only discord
+of other states (the charging orbit) and a matrix exponential of a
+matrix that is neither Hermitian nor anti-Hermitian reach scipy.  Each
+test runs in its own child interpreter, because this one has long since
+imported both.
 """
 
 import json
@@ -50,12 +53,16 @@ def cheap_runs(tmp_path):
         ["gibbs", "--dm", "0.5"] + out("gibbs"),
         ["charge", "--samples", "5"] + out("charge"),
         ["grid2d", "--sweep", "delta:0:1:2", "--sweep2", "epsilon:0:1:2"] + out("grid2d"),
+        # default outputs include discord, of X-states only
+        ["dephasing", "--delta", "1", "--t1", "0.1", "--samples", "3"] + out("dephasing"),
+        ["thermal-sweep", "--delta", "1", "--epsilon", "0.5", "--sweep", "temperature:0.5:2:3"]
+        + out("thermal"),
     ]
 
 
-def dephasing_run(tmp_path):  # default outputs include discord
-    return ["dephasing", "--t1", "0.1", "--samples", "3", "--jobs", "1",
-            "--out", str(tmp_path / "dephasing.csv")]
+def charge_discord_run(tmp_path):  # orbit states are not X-states
+    return ["charge", "--delta", "1", "--field", "0.5", "--samples", "5", "--with-discord",
+            "--jobs", "1", "--out", str(tmp_path / "charge_discord.csv")]
 
 
 def test_import_loads_neither_scipy_nor_multiprocessing():
@@ -65,19 +72,20 @@ def test_import_loads_neither_scipy_nor_multiprocessing():
 
 def test_cheap_studies_load_neither(tmp_path):
     result, stderr = run_child(cheap_runs(tmp_path))
-    assert result["codes"] == [0, 0, 0, 0], stderr
+    assert result["codes"] == [0] * 6, stderr
     assert result["heavy"] == []
 
 
 def test_discord_loads_scipy_optimize(tmp_path):  # the positive control
-    result, stderr = run_child([dephasing_run(tmp_path)])
+    result, stderr = run_child([charge_discord_run(tmp_path)])
     assert result["codes"] == [0], stderr
     assert "scipy.optimize" in result["heavy"]
 
 
 def test_missing_scipy_is_exit_2_at_first_use(tmp_path):
     blocked = 'sys.modules["scipy.optimize"] = None'  # import of it now raises
-    result, stderr = run_child([cheap_runs(tmp_path)[0], dephasing_run(tmp_path)], blocked)
+    dephasing = cheap_runs(tmp_path)[4]
+    result, stderr = run_child([dephasing, charge_discord_run(tmp_path)], blocked)
     assert result["codes"] == [0, 2]
-    assert "numeric failure in dephasing: ModuleNotFoundError: " in stderr
+    assert "numeric failure in charge: ModuleNotFoundError: " in stderr
     assert "Traceback" not in stderr
