@@ -12,10 +12,8 @@ from dipolarqb import (
     ModelParams,
     TimeGrid,
     battery_metrics,
-    build_hamiltonian,
     capacity,
     charge_trajectory,
-    charging_hamiltonian,
     ergotropy_closed_form,
     gibbs_numeric,
     orbit_peaks,
@@ -24,15 +22,13 @@ from dipolarqb import (
 
 p = ModelParams(delta=1.0, epsilon=0.5, temperature=1.0, omega=1.0)
 zeta = gibbs_numeric(p)
-h = build_hamiltonian(p)
-h_ch = charging_hamiltonian(p)
 
 grid = TimeGrid(0.0, np.pi / p.omega, 1e-3)
 times, states = charge_trajectory(p, zeta, grid, n_samples=9)
 
 print("Omega*t   ergotropy   power_avg  efficiency")
 for t, rho in zip(times, states):
-    m = battery_metrics(rho, t, p, h=h, h_ch=h_ch, zeta=zeta)
+    m = battery_metrics(rho, t, p)
     print(f"{p.omega * t:7.4f}  {m.ergotropy:10.6f}  {m.power_avg:9.6f}  {m.efficiency:9.6f}")
 
 cap = capacity(p)

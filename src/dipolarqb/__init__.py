@@ -13,7 +13,6 @@ from .battery import (
     battery_metrics,
     capacity,
     capacity_closed_form,
-    charged_coherence,
     charging_orbit_arrays,
     ergotropy,
     ergotropy_closed_form,
@@ -91,7 +90,6 @@ __all__ = [
     "capacity",
     "capacity_closed_form",
     "charge_trajectory",
-    "charged_coherence",
     "charging_hamiltonian",
     "charging_orbit_arrays",
     "charging_unitary",

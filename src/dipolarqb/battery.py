@@ -13,8 +13,12 @@ For a trajectory unitarily charged out of the Gibbs state zeta the
 initial state stays the passive state of every point on the orbit, so
 xi(t) = Tr[(rho(t) - zeta) H], the work W(t) equals xi(t), the
 efficiency W/xi is identically 1, and the average power is W/t.  The
-instantaneous power is P = Tr[-i[H_ch, rho] H] (= dxi/dt), with a
-finite-difference cross-check helper.
+instantaneous power is P = Tr[rho K] with the fixed operator
+K = -i[H, H_ch]; it equals Tr[-i[H_ch, rho] H] = dxi/dt, with a
+finite-difference cross-check helper.  xi, P and the l1 coherence are
+each computed by one function over (..., 4, 4) state stacks, which the
+per-sample metrics, the trajectory columns and the orbit peak search
+all call.
 
 Two capacity notions coexist and are always reported side by side:
 
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TimeGrid, TimeSeries
+from .dynamics import TimeGrid, TimeSeries, charged_state
 from .linalg import golden_max, hermitian_eigen, require_hermitian
 from .model import build_hamiltonian, charging_hamiltonian, charging_unitary
 from .resources import l1_coherence
@@ -51,7 +55,10 @@ PEAK_TOL = 1e-8
 
 @dataclass
 class BatteryMetrics:
-    """Single-sample charging metrics; all energies in units of K."""
+    """Charging metrics of one sample, or columns over a stack of samples.
+
+    All energies are in units of K.
+    """
 
     ergotropy: float
     work: float
@@ -62,10 +69,10 @@ class BatteryMetrics:
     time: float
 
     def __post_init__(self):
-        if self.ergotropy < -1e-9:
-            raise ValueError(f"ergotropy {self.ergotropy} below -1e-9")
-        if self.efficiency > 1.0 + 1e-9:
-            raise ValueError(f"efficiency {self.efficiency} above 1")
+        if np.min(self.ergotropy) < -1e-9:
+            raise ValueError(f"ergotropy {np.min(self.ergotropy)} below -1e-9")
+        if np.max(self.efficiency) > 1.0 + 1e-9:
+            raise ValueError(f"efficiency {np.max(self.efficiency)} above 1")
 
 
 @dataclass
@@ -128,18 +135,35 @@ def ergotropy_double_sum(rho, h):
     return float(total)
 
 
-def instantaneous_power(rho, p, h=None, h_ch=None):
-    """P = Tr[-i [H_ch, rho] H] = dxi/dt on the charging orbit."""
-    if h is None:
-        h = build_hamiltonian(p)
-    if h_ch is None:
-        h_ch = charging_hamiltonian(p)
-    rho = np.asarray(rho, dtype=complex)
-    comm = h_ch @ rho - rho @ h_ch
-    return float(np.trace(-1j * comm @ h).real)
+def _power_of(p, h):
+    """P = Tr[rho K], K = -i[H, H_ch], as a function of a state or a stack.
+
+    Tr[rho K] = Tr[-i[H_ch, rho] H], which is dxi/dt on the orbit.
+    """
+    h_ch = charging_hamiltonian(p)
+    k = -1j * (h @ h_ch - h_ch @ h)
+    return lambda rho: np.einsum("...ij,ji->...", rho, k).real
 
 
-def instantaneous_power_fd(p, t, dt=1e-4, ordering="left"):
+def _orbit_metrics(p, h, zeta):
+    """xi, P and l1 coherence, each a function of a state or a stack.
+
+    xi = Tr[(rho - zeta) H] takes the difference first, so it is exactly
+    0 at zeta itself.
+    """
+    return (
+        lambda rho: np.einsum("...ij,ji->...", rho - zeta, h).real,
+        _power_of(p, h),
+        l1_coherence,
+    )
+
+
+def instantaneous_power(rho, p):
+    """P = Tr[-i [H_ch, rho] H] = dxi/dt of a state or a (..., 4, 4) stack."""
+    return _power_of(p, build_hamiltonian(p))(np.asarray(rho, dtype=complex))
+
+
+def instantaneous_power_fd(p, t, dt=1e-4):
     """Central finite difference of xi(t) on the Gibbs charging orbit."""
     zeta = gibbs_numeric(p)
     h = build_hamiltonian(p)
@@ -147,8 +171,7 @@ def instantaneous_power_fd(p, t, dt=1e-4, ordering="left"):
 
     def xi_at(ti):
         u = charging_unitary(p, ti)
-        rho = u @ zeta @ u.conj().T if ordering == "left" else u.conj().T @ zeta @ u
-        return float(np.trace(rho @ h).real) - e0
+        return float(np.trace(u @ zeta @ u.conj().T @ h).real) - e0
 
     return (xi_at(t + dt) - xi_at(t - dt)) / (2.0 * dt)
 
@@ -170,63 +193,38 @@ def _times_for(traj, grid):
     return times
 
 
-def battery_metrics(rho, t, p, h=None, h_ch=None, zeta=None):
-    """Metrics of one charged sample relative to the Gibbs start."""
-    if h is None:
-        h = build_hamiltonian(p)
-    if h_ch is None:
-        h_ch = charging_hamiltonian(p)
-    if zeta is None:
-        zeta = gibbs_numeric(p)
+def battery_metrics(rho, t, p):
+    """Metrics of charged samples relative to the Gibbs start.
+
+    One state at time t gives floats; an (N, 4, 4) stack at N times
+    gives length-N columns.
+    """
     rho = np.asarray(rho, dtype=complex)
-    xi = float(np.trace((rho - zeta) @ h).real)
-    if -1e-9 < xi < 0.0:
-        xi = 0.0
+    t = np.asarray(t, dtype=float)
+    xi_of, power_of, coherence_of = _orbit_metrics(p, build_hamiltonian(p), gibbs_numeric(p))
+    xi = xi_of(rho)
+    xi = np.where((-1e-9 < xi) & (xi < 0.0), 0.0, xi)
     work = xi
-    # eta = W/xi = 1 identically on the orbit; 0/0 at t=0 resolved to 1
-    eff = work / xi if xi > 0.0 else 1.0
-    pavg = work / t if t > 0.0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # eta = W/xi = 1 identically on the orbit; 0/0 at t=0 resolved to 1
+        eff = np.where(xi > 0.0, work / xi, 1.0)
+        pavg = np.where(t > 0.0, work / t, 0.0)
     return BatteryMetrics(
-        ergotropy=xi,
-        work=work,
-        power_instant=instantaneous_power(rho, p, h=h, h_ch=h_ch),
-        power_avg=pavg,
-        efficiency=eff,
-        coherence=l1_coherence(rho),
-        time=float(t),
+        ergotropy=xi[()],
+        work=work[()],
+        power_instant=power_of(rho),
+        power_avg=pavg[()],
+        efficiency=eff[()],
+        coherence=coherence_of(rho),
+        time=t[()],
     )
 
 
 def work_and_power(traj, grid, p):
     """Per-sample battery metrics of a charging trajectory as a TimeSeries."""
     times = _times_for(traj, grid)
-    h = build_hamiltonian(p)
-    h_ch = charging_hamiltonian(p)
-    zeta = gibbs_numeric(p)
-    cols = {
-        "ergotropy": [],
-        "work": [],
-        "power_instant": [],
-        "power_avg": [],
-        "efficiency": [],
-        "coherence": [],
-    }
-    for rho, t in zip(traj, times):
-        m = battery_metrics(rho, t, p, h=h, h_ch=h_ch, zeta=zeta)
-        cols["ergotropy"].append(m.ergotropy)
-        cols["work"].append(m.work)
-        cols["power_instant"].append(m.power_instant)
-        cols["power_avg"].append(m.power_avg)
-        cols["efficiency"].append(m.efficiency)
-        cols["coherence"].append(m.coherence)
-    return TimeSeries(times, {k: np.array(v) for k, v in cols.items()})
-
-
-def charged_coherence(traj, grid):
-    """l1 coherence at every trajectory sample."""
-    times = _times_for(traj, grid)
-    vals = np.array([l1_coherence(rho) for rho in traj])
-    return TimeSeries(times, {"coherence": vals})
+    m = battery_metrics(traj, times, p)
+    return TimeSeries(times, {k: v for k, v in vars(m).items() if k != "time"})
 
 
 def ergotropy_closed_form(p, t):
@@ -304,19 +302,27 @@ def capacity_closed_form(p):
     return 4.0 * num / (3.0 * th.twod0)
 
 
+def _unitary_capacity(h, zeta):
+    """Tr[H antipassive(zeta)] - Tr[H passive(zeta)]."""
+    return float(np.trace(h @ (antipassive_state(zeta, h) - passive_state(zeta, h))).real)
+
+
 def capacity(p):
     """Both capacity definitions plus the thermal closed form."""
     h = build_hamiltonian(p)
-    basis = float(h[3, 3].real - h[0, 0].real)
-    zeta = gibbs_numeric(p)
-    lo = passive_state(zeta, h)
-    hi = antipassive_state(zeta, h)
-    unitary = float(np.trace(h @ (hi - lo)).real)
     return CapacityReport(
-        capacity_basis=basis,
-        capacity_unitary=unitary,
+        capacity_basis=float(h[3, 3].real - h[0, 0].real),
+        capacity_unitary=_unitary_capacity(h, gibbs_numeric(p)),
         closed_form=float(capacity_closed_form(p)),
     )
+
+
+def _orbit_grid(p, zeta, n_grid):
+    """s = Omega t on n_grid uniform points of [0, pi], and the states there."""
+    if p.omega == 0.0:
+        raise ValueError("omega = 0 has no charging period pi/omega")
+    s = np.linspace(0.0, np.pi, n_grid)
+    return s, charged_state(p, zeta, s / p.omega)
 
 
 def charging_orbit_arrays(p, n_grid=PEAK_GRID_N):
@@ -326,25 +332,9 @@ def charging_orbit_arrays(p, n_grid=PEAK_GRID_N):
     [0, pi] on n_grid uniform points; the period of every metric.
     """
     h = build_hamiltonian(p)
-    h_ch = charging_hamiltonian(p)
     zeta = gibbs_numeric(p)
-    s = np.linspace(0.0, np.pi, n_grid)
-    a = np.cos(s) ** 2
-    b = -np.sin(s) ** 2
-    c = -0.5j * np.sin(2.0 * s)
-    u = np.empty((n_grid, 4, 4), dtype=complex)
-    u[:, 0, 0] = u[:, 1, 1] = u[:, 2, 2] = u[:, 3, 3] = a
-    u[:, 0, 3] = u[:, 1, 2] = u[:, 2, 1] = u[:, 3, 0] = b
-    for i, j in ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)):
-        u[:, i, j] = c
-    rho = u @ zeta @ u.conj().transpose(0, 2, 1)
-    e0 = float(np.trace(zeta @ h).real)
-    xi = np.einsum("nij,ji->n", rho, h).real - e0
-    comm = h_ch @ rho - rho @ h_ch
-    power = np.einsum("nij,ji->n", -1j * comm, h).real
-    diag_abs = np.abs(np.einsum("nii->ni", rho)).sum(axis=1)
-    coherence = np.abs(rho).sum(axis=(1, 2)) - diag_abs
-    return s, xi, power, coherence
+    s, states = _orbit_grid(p, zeta, n_grid)
+    return (s, *(metric(states) for metric in _orbit_metrics(p, h, zeta)))
 
 
 @dataclass
@@ -365,47 +355,27 @@ class OrbitPeaks:
 def orbit_peaks(p, n_grid=PEAK_GRID_N, tol=PEAK_TOL):
     """Grid scan plus golden-section refinement of each orbit metric.
 
-    The reported capacity is the unitary (passive/antipassive) one;
-    it is constant over the orbit so no scan is needed.
+    H and zeta are built once.  The reported capacity is the unitary
+    (passive/antipassive) one; it is constant over the orbit so no scan
+    is needed.
     """
     h = build_hamiltonian(p)
-    h_ch = charging_hamiltonian(p)
     zeta = gibbs_numeric(p)
-    e0 = float(np.trace(zeta @ h).real)
-
-    def state_at(s):
-        u = charging_unitary(p, s / p.omega)
-        return u @ zeta @ u.conj().T
-
-    def xi_at(s):
-        return float(np.trace(state_at(s) @ h).real) - e0
-
-    def power_at(s):
-        rho = state_at(s)
-        return float(np.trace(-1j * (h_ch @ rho - rho @ h_ch) @ h).real)
-
-    def coh_at(s):
-        return l1_coherence(state_at(s))
-
-    s, xi, power, coherence = charging_orbit_arrays(p, n_grid=n_grid)
-    out = []
-    locs = []
-    for arr, fn in ((xi, xi_at), (power, power_at), (coherence, coh_at)):
+    s, states = _orbit_grid(p, zeta, n_grid)
+    peaks = []  # (Omega t, value) of each metric's maximum
+    for metric in _orbit_metrics(p, h, zeta):
+        arr = metric(states)
         k = int(np.argmax(arr))
-        lo = s[max(0, k - 1)]
-        hi = s[min(n_grid - 1, k + 1)]
-        where, refined = golden_max(fn, lo, hi, tol)
-        if refined >= arr[k]:
-            out.append(refined)
-            locs.append(where)
-        else:
-            out.append(float(arr[k]))
-            locs.append(float(s[k]))
-    cap = capacity(p).capacity_unitary
+        refined = golden_max(
+            lambda x: metric(charged_state(p, zeta, x / p.omega)),
+            s[max(0, k - 1)], s[min(n_grid - 1, k + 1)], tol,
+        )
+        peaks.append(refined if refined[1] >= arr[k] else (float(s[k]), float(arr[k])))
+    (xi_at, xi_max), (_, power_max), (_, coherence_max) = peaks
     return OrbitPeaks(
-        ergotropy_max=out[0],
-        power_max=out[1],
-        coherence_max=out[2],
-        capacity=cap,
-        ergotropy_peak_at=locs[0],
+        ergotropy_max=xi_max,
+        power_max=power_max,
+        coherence_max=coherence_max,
+        capacity=_unitary_capacity(h, zeta),
+        ergotropy_peak_at=xi_at,
     )

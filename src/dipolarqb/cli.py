@@ -233,6 +233,8 @@ def validate_config(cfg):
         if "t1" in sc.keys:
             for p in points:
                 cfg.resolved_grid(p)
+        if cfg.scenario == "grid2d" and any(p.omega == 0.0 for p in points):
+            raise ValueError("grid2d with omega = 0 has no charging period pi/omega")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg
@@ -360,20 +362,13 @@ def _charge_rows(task):
     times, states = charge_trajectory(params, zeta, grid, n_samples=samples)
     series = work_and_power(states, times, params)
     cap = capacity(params)
-    rows = []
-    for i, t in enumerate(times):
-        row = [params.omega * t]
-        for name in outputs:
-            if name == "capacity_basis":
-                row.append(cap.capacity_basis)
-            elif name == "capacity_unitary":
-                row.append(cap.capacity_unitary)
-            elif name == "discord":
-                row.append(quantum_discord(states[i]).discord)
-            else:
-                row.append(series[name][i])
-        rows.append(row)
-    return rows
+    columns = dict(series.columns)
+    columns["capacity_basis"] = [cap.capacity_basis] * len(times)
+    columns["capacity_unitary"] = [cap.capacity_unitary] * len(times)
+    if "discord" in outputs:
+        columns["discord"] = [quantum_discord(rho).discord for rho in states]
+    return [[params.omega * t] + [columns[name][i] for name in outputs]
+            for i, t in enumerate(times)]
 
 
 def _grid_point_row(task):

@@ -23,11 +23,8 @@ the trajectories; the gamma = 0 limit must reproduce plain unitary
 conjugation.
 
 Charging is closed-system: rho(t) = U(t) rho0 U(t)^dag with the
-transverse-field propagator from `model.charging_unitary`.  The
-alternative ordering U^dag rho U (a time-reversed convention that some
-derivations use) is exposed as well; for this model every reported
-metric is identical under the two orderings because the trajectories
-are complex conjugates of each other.
+transverse-field propagator from `model.charging_unitary`, conjugated
+over a whole stack of sample times at once.
 """
 
 from dataclasses import dataclass
@@ -191,25 +188,20 @@ def _power_increment(d, k):
     return out
 
 
-def charge_trajectory(p, rho0, grid, ordering="left", n_samples=DEFAULT_SAMPLES):
+def charged_state(p, rho0, t):
+    """U(t) rho0 U(t)^dag; an array of times gives a (..., 4, 4) stack."""
+    u = charging_unitary(p, t)
+    return u @ rho0 @ np.swapaxes(u.conj(), -1, -2)
+
+
+def charge_trajectory(p, rho0, grid, n_samples=DEFAULT_SAMPLES):
     """Unitary charging orbit sampled on the grid's stored times.
 
-    ordering "left" applies U rho U^dag (default); "dagger_left"
-    applies U^dag rho U.  Eigenvalues of rho(t) are those of rho0 at
-    every sample.
+    Returns (times, states) with states an (N, 4, 4) stack; the
+    eigenvalues of every sample are those of rho0.
     """
-    if ordering not in ("left", "dagger_left"):
-        raise ValueError(f"unknown conjugation ordering {ordering!r}")
-    rho0 = np.asarray(rho0, dtype=complex)
     times = grid.t0 + grid.dt * np.array(grid.sample_steps(n_samples))
-    states = []
-    for t in times:
-        u = charging_unitary(p, t)
-        if ordering == "left":
-            states.append(u @ rho0 @ u.conj().T)
-        else:
-            states.append(u.conj().T @ rho0 @ u)
-    return times, states
+    return times, charged_state(p, np.asarray(rho0, dtype=complex), times)
 
 
 def is_valid_state(rho, herm_tol=1e-9, trace_tol=1e-8, psd_tol=1e-8):

@@ -26,10 +26,11 @@ with eigenvectors parameterized by eta = (3iD - delta)/kappa1 (a unit
 complex number) and delta_k = i(-(+/-)B + kappa2)/(G - i eps).
 
 Charging applies a transverse field of strength omega on both spins,
-H_ch = omega (sx x 1 + 1 x sx), whose propagator exp(-i H_ch t) is the
-circulant-like matrix with a = cos^2(omega t) on the diagonal,
-b = -sin^2(omega t) on the anti-diagonal and c = -(i/2) sin(2 omega t)
-everywhere else.
+H_ch = omega (sx x 1 + 1 x sx).  Its two terms commute, so the
+propagator is exp(-i omega t sx) on each spin:
+
+    exp(-i H_ch t) = cos^2(wt) 1 - sin^2(wt) sx x sx
+                     - (i/2) sin(2wt) (sx x 1 + 1 x sx),   w = omega.
 """
 
 import math
@@ -43,6 +44,10 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+_X_SUM = np.kron(SIGMA_X, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_X)
+# which closed-form coefficient each entry of exp(-i H_ch t) holds:
+# 0 where 1 is nonzero, 1 where sx x sx is, 2 where sx x 1 + 1 x sx is
+_CHARGER_PATTERN = np.array([[0, 2, 2, 1], [2, 0, 1, 2], [2, 1, 0, 2], [1, 2, 2, 0]])
 
 # limit below which the closed-form eigenvector parameters are treated
 # as degenerate 0/0 expressions and replaced by their limiting bases
@@ -170,28 +175,18 @@ def closed_form_spectrum(p):
 
 def charging_hamiltonian(p):
     """H_ch = omega (sx x 1 + 1 x sx); eigenvalues {-2w, 0, 0, 2w}."""
-    return p.omega * (np.kron(SIGMA_X, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_X))
+    return p.omega * _X_SUM
 
 
 def charging_unitary(p, t):
-    """Propagator exp(-i H_ch t) in closed form.
+    """Propagator exp(-i H_ch t) in closed form (module docstring).
 
-    Built from a = cos^2(wt), b = -sin^2(wt), c = -(i/2) sin(2wt); the
-    result is unitary to round-off and matches matrix_exp(-i H_ch t).
+    An array of times gives a (..., 4, 4) stack; the result is unitary
+    to round-off and matches matrix_exp(-i H_ch t).
     """
-    wt = p.omega * t
-    a = math.cos(wt) ** 2
-    b = -math.sin(wt) ** 2
-    c = -0.5j * math.sin(2.0 * wt)
-    return np.array(
-        [
-            [a, c, c, b],
-            [c, a, b, c],
-            [c, b, a, c],
-            [b, c, c, a],
-        ],
-        dtype=complex,
-    )
+    wt = p.omega * np.asarray(t, dtype=float)
+    coef = np.stack([np.cos(wt) ** 2, -np.sin(wt) ** 2, -0.5j * np.sin(2.0 * wt)], axis=-1)
+    return coef[..., _CHARGER_PATTERN]
 
 
 def charging_unitary_exact(p, t):

@@ -1,7 +1,7 @@
 """Quantum-resource measures for two-qubit states.
 
 * l1-norm coherence: sum of |off-diagonal| entries in the computational
-  basis, range [0, 3] for two qubits.
+  basis, range [0, 3] for two qubits; also over (..., 4, 4) stacks.
 
 * Concurrence: max(0, l1 - l2 - l3 - l4) over the decreasingly sorted
   square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
@@ -49,9 +49,13 @@ _NON_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 def l1_coherence(rho):
-    """Sum of absolute off-diagonal entries in the computational basis."""
-    rho = np.asarray(rho)
-    return float(np.sum(np.abs(rho)) - np.sum(np.abs(np.diag(rho))))
+    """Sum of absolute off-diagonal entries in the computational basis.
+
+    A (..., 4, 4) stack gives an array of the per-state values.
+    """
+    a = np.abs(rho)
+    out = a.sum(axis=(-2, -1)) - np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def concurrence(rho):

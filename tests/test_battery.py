@@ -10,8 +10,8 @@ from dipolarqb import (
     build_hamiltonian,
     capacity,
     capacity_closed_form,
+    charging_hamiltonian,
     charge_trajectory,
-    charged_coherence,
     charging_orbit_arrays,
     charging_unitary,
     closed_form_spectrum,
@@ -24,6 +24,7 @@ from dipolarqb import (
     hermitian_eigen,
     instantaneous_power,
     instantaneous_power_fd,
+    l1_coherence,
     orbit_peaks,
     passive_state,
     work_and_power,
@@ -206,6 +207,28 @@ class TestWorkAndPower:
             analytic = instantaneous_power(charged_state(p, t, zeta), p)
             assert abs(analytic - instantaneous_power_fd(p, t, dt=1e-4)) < 1e-6
 
+    def test_power_kernel_is_the_commutator_definition(self, rng):
+        for _ in range(20):
+            p = random_params(rng).replace(omega=rng.uniform(-3.0, 3.0))
+            h = build_hamiltonian(p)
+            h_ch = charging_hamiltonian(p)
+            stack = np.array([random_density(rng) for _ in range(10)])
+            got = instantaneous_power(stack, p)
+            assert got.shape == (10,)
+            for rho, val in zip(stack, got):
+                ref = np.trace(-1j * (h_ch @ rho - rho @ h_ch) @ h).real
+                assert abs(val - ref) < 1e-12
+                assert instantaneous_power(rho, p) == val
+
+    def test_stacked_metrics_match_single_samples(self):
+        p = ModelParams(delta=1.0, epsilon=0.4, dm=0.3, ksea=0.2, field=0.6, temperature=0.9)
+        times, states = charge_trajectory(p, gibbs_numeric(p), TimeGrid(0.0, 2.0, 1e-3), n_samples=7)
+        stacked = battery_metrics(states, times, p)
+        for i, t in enumerate(times):
+            single = battery_metrics(states[i], t, p)
+            for name, value in vars(single).items():
+                assert abs(getattr(stacked, name)[i] - value) < 1e-12
+
     def test_rejects_nonmonotone_times(self):
         p = ModelParams(delta=1.0)
         zeta = gibbs_numeric(p)
@@ -282,16 +305,14 @@ class TestChargedCoherence:
         # vanish along with G, eps, D for a truly diagonal Gibbs state
         p = ModelParams(field=0.5, temperature=0.7)
         zeta = gibbs_numeric(p)
-        series = charged_coherence([zeta], np.array([0.0]))
-        assert abs(series.columns["coherence"][0]) < 1e-14
+        assert abs(l1_coherence(zeta)) < 1e-14
 
     def test_initial_value_from_closed_entries(self):
         p = ModelParams(delta=1.0, epsilon=0.4, dm=0.3, ksea=0.2, field=0.5)
         z = gibbs_closed_form(p)
         expected = 2.0 * (abs(z.z14) + abs(z.z23))
         zeta = gibbs_numeric(p)
-        series = charged_coherence([zeta], np.array([0.0]))
-        assert abs(series.columns["coherence"][0] - expected) < 1e-12
+        assert abs(l1_coherence(zeta) - expected) < 1e-12
 
     def test_periodicity(self):
         p = ModelParams(delta=1.0, epsilon=0.5, dm=0.2, field=0.3)
@@ -299,8 +320,7 @@ class TestChargedCoherence:
         period = np.pi / p.omega
         for t in (0.13, 0.61, 1.07):
             pair = [charged_state(p, t, zeta), charged_state(p, t + period, zeta)]
-            series = charged_coherence(pair, np.array([t, t + period]))
-            vals = series.columns["coherence"]
+            vals = l1_coherence(np.array(pair))
             assert abs(vals[1] - vals[0]) < 1e-9
 
 
@@ -323,6 +343,12 @@ class TestOrbitPeaks:
             assert peaks.power_max >= power.max() - 1e-12
             assert peaks.coherence_max >= coh.max() - 1e-12
             assert peaks.ergotropy_max <= peaks.capacity + 1e-9
+
+    def test_omega_zero_has_no_orbit(self):
+        p = ModelParams(delta=1.0, epsilon=0.5, omega=0.0)
+        for scan in (orbit_peaks, charging_orbit_arrays):
+            with pytest.raises(ValueError, match="omega"):
+                scan(p)
 
     def test_capacity_field_matches_report(self):
         p = ModelParams(delta=1.0, epsilon=0.1, field=0.5, temperature=0.8)

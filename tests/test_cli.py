@@ -414,6 +414,18 @@ class TestMain:
         assert "config error" in err and "omega" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--omega", "0", "--sweep", "delta:-1:1:2", "--sweep2", "dm:-1:1:2"],
+        ["--sweep", "omega:-1:1:3", "--sweep2", "dm:-1:1:2"],
+    ])
+    def test_grid2d_omega_zero_is_config_error(self, tmp_path, capsys, flags):
+        # omega = 0 at the base point or on an axis has no charging period
+        assert main(["grid2d", *flags, "--jobs", "1", "--out", str(tmp_path / "g.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "omega" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_every_sweep_point_validated(self, tmp_path, capsys):
         # the base omega = 1 is fine; the swept -1 and 0 have no valid period
         assert main(["charge", "--sweep", "omega:-1:1:3", "--jobs", "1",

@@ -246,9 +246,10 @@ class TestChargeTrajectory:
         zeta = gibbs_numeric(p)
         h = build_hamiltonian(p)
         grid = TimeGrid(0.0, 2.0, 1e-3)
-        times, left = charge_trajectory(p, zeta, grid, ordering="left", n_samples=5)
-        _, right = charge_trajectory(p, zeta, grid, ordering="dagger_left", n_samples=5)
-        for t, a, b in zip(times, left, right):
+        times, left = charge_trajectory(p, zeta, grid, n_samples=5)
+        for t, a in zip(times, left):
+            u = charging_unitary(p, t)
+            b = u.conj().T @ zeta @ u
             u_back = charging_unitary(p, -t)
             assert np.max(np.abs(b - u_back @ zeta @ u_back.conj().T)) < 1e-12
             assert abs(l1_coherence(a) - l1_coherence(b)) < 1e-12
@@ -263,8 +264,3 @@ class TestChargeTrajectory:
         for t, rho in zip(times, states):
             u = charging_unitary(p, t)
             assert np.max(np.abs(rho - u @ zeta @ u.conj().T)) < 1e-13
-
-    def test_rejects_unknown_ordering(self):
-        p = ModelParams()
-        with pytest.raises(ValueError):
-            charge_trajectory(p, ket00(), TimeGrid(0.0, 1.0, 0.5), ordering="middle")

@@ -183,6 +183,18 @@ class TestCharging:
             direct = matrix_exp(-1j * charging_hamiltonian(p) * t)
             assert np.max(np.abs(u - direct)) < 1e-10
 
+    def test_time_array_gives_the_stack_of_scalar_calls(self, rng):
+        # negative times included: the closed form holds for any sign
+        for _ in range(20):
+            p = ModelParams(omega=rng.uniform(-3.0, 3.0))
+            ts = rng.uniform(-7.0, 7.0, size=(3, 5))
+            stack = charging_unitary(p, ts)
+            assert stack.shape == (3, 5, 4, 4)
+            for idx in np.ndindex(ts.shape):
+                t = float(ts[idx])
+                assert np.max(np.abs(stack[idx] - charging_unitary(p, t))) < 1e-14
+                assert np.max(np.abs(stack[idx] - charging_unitary_exact(p, t))) < 1e-14
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))

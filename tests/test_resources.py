@@ -57,6 +57,15 @@ class TestCoherence:
             c = l1_coherence(random_density(rng))
             assert 0.0 <= c <= 3.0
 
+    def test_stack_equals_per_state_calls_bitwise(self, rng):
+        stack = np.array([random_density(rng) for _ in range(200)]).reshape(20, 10, 4, 4)
+        vals = l1_coherence(stack)
+        assert vals.shape == (20, 10)
+        for idx in np.ndindex(vals.shape):
+            single = l1_coherence(stack[idx])
+            assert isinstance(single, float)
+            assert vals[idx] == single
+
 
 class TestConcurrence:
     def test_bell(self):
