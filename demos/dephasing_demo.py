@@ -12,10 +12,10 @@ from dipolarqb import (
     TimeGrid,
     concurrence,
     evolve_lindblad,
-    is_valid_state,
     l1_coherence,
     quantum_discord,
 )
+from dipolarqb.oracles import is_valid_state
 
 rho0 = np.zeros((4, 4), dtype=complex)
 rho0[0, 0] = 1.0

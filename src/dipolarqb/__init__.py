@@ -16,10 +16,7 @@ from .battery import (
     charging_orbit_arrays,
     ergotropy,
     ergotropy_closed_form,
-    ergotropy_closed_form_literal,
-    ergotropy_double_sum,
     instantaneous_power,
-    instantaneous_power_fd,
     orbit_peaks,
     passive_state,
     work_and_power,
@@ -31,16 +28,12 @@ from .dynamics import (
     charge_trajectory,
     collapse_operators,
     evolve_lindblad,
-    is_valid_state,
-    lindblad_rhs,
     lindblad_superoperator,
 )
 from .linalg import (
     SpectralDecomposition,
-    entropy_2x2,
     hermitian_eigen,
     hermiticity_defect,
-    matrix_exp,
     partial_trace,
     require_hermitian,
     von_neumann_entropy,
@@ -62,10 +55,8 @@ from .resources import (
 )
 from .thermal import (
     GibbsClosedForm,
-    GibbsSpectrumDiagnostics,
     gibbs_closed_form,
     gibbs_numeric,
-    gibbs_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +67,6 @@ __all__ = [
     "ClosedFormSpectrum",
     "DiscordResult",
     "GibbsClosedForm",
-    "GibbsSpectrumDiagnostics",
     "IntegrationAccuracyError",
     "MeasurementDirection",
     "ModelParams",
@@ -96,24 +86,16 @@ __all__ = [
     "closed_form_spectrum",
     "collapse_operators",
     "concurrence",
-    "entropy_2x2",
     "ergotropy",
     "ergotropy_closed_form",
-    "ergotropy_closed_form_literal",
-    "ergotropy_double_sum",
     "evolve_lindblad",
     "gibbs_closed_form",
     "gibbs_numeric",
-    "gibbs_spectrum",
     "hermitian_eigen",
     "hermiticity_defect",
     "instantaneous_power",
-    "instantaneous_power_fd",
-    "is_valid_state",
     "l1_coherence",
-    "lindblad_rhs",
     "lindblad_superoperator",
-    "matrix_exp",
     "orbit_peaks",
     "partial_trace",
     "passive_state",

@@ -6,19 +6,19 @@ Ergotropy xi is the maximum work a cyclic unitary can extract:
 
 where the passive state pairs the descending populations of rho with
 the ascending energy eigenvectors of H.  An equivalent double-sum form
-over both eigensystems is kept as an independent route and the two are
-cross-checked rather than merged.
+over both eigensystems, `oracles.ergotropy_double_sum`, is the
+independent route it is cross-checked against.
 
 For a trajectory unitarily charged out of the Gibbs state zeta the
 initial state stays the passive state of every point on the orbit, so
 xi(t) = Tr[(rho(t) - zeta) H], the work W(t) equals xi(t), the
 efficiency W/xi is identically 1, and the average power is W/t.  The
 instantaneous power is P = Tr[rho K] with the fixed operator
-K = -i[H, H_ch]; it equals Tr[-i[H_ch, rho] H] = dxi/dt, with a
-finite-difference cross-check helper.  xi, P and the l1 coherence are
-each computed by one function over (..., 4, 4) state stacks, which the
-per-sample metrics, the trajectory columns and the orbit peak search
-all call.
+K = -i[H, H_ch]; it equals Tr[-i[H_ch, rho] H] = dxi/dt, which
+`oracles.instantaneous_power_fd` checks by finite differences.  xi, P
+and the l1 coherence are each computed by one function over
+(..., 4, 4) state stacks, which the per-sample metrics, the trajectory
+columns and the orbit peak search all call.
 
 Two capacity notions coexist and are always reported side by side:
 
@@ -30,24 +30,22 @@ Two capacity notions coexist and are always reported side by side:
 
 Closed-form evaluators: `ergotropy_closed_form` is a manifestly real
 expression for xi(t) on the Gibbs charging orbit, valid for every
-parameter combination including D != 0.  `ergotropy_closed_form_literal`
-is an algebraically collapsed variant written with complex
-intermediates; its imaginary part and its epsilon-sign convention are
-diagnostics, not bugs in the caller.  `capacity_closed_form` is the
-corresponding thermal capacity expression, reported next to both
-capacity definitions because it matches neither in general.
+parameter combination including D != 0; its collapsed complex
+variant is `oracles.ergotropy_closed_form_literal`.
+`capacity_closed_form` is the corresponding thermal capacity
+expression, reported next to both capacity definitions because it
+matches neither in general.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import TimeGrid, TimeSeries, charged_state
 from .linalg import golden_max, hermitian_eigen, require_hermitian
-from .model import build_hamiltonian, charging_hamiltonian, charging_unitary
+from .model import build_hamiltonian, charging_hamiltonian
 from .resources import l1_coherence
-from .thermal import _sinhc, _thermal_terms, gibbs_numeric
+from .thermal import _thermal_terms, gibbs_numeric
 
 PEAK_GRID_N = 2000
 PEAK_TOL = 1e-8
@@ -117,24 +115,6 @@ def ergotropy(rho, h):
     return val
 
 
-def ergotropy_double_sum(rho, h):
-    """Independent route: sum_jk r_j e_k (|<e_k|r_j>|^2 - delta_jk).
-
-    r sorted descending, e ascending.  Kept separate from the trace
-    route so the two can be compared, never collapsed.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    r = hermitian_eigen(rho, order="descending")
-    e = hermitian_eigen(h, order="ascending")
-    overlap = np.abs(e.vectors.conj().T @ r.vectors) ** 2  # [k, j]
-    total = 0.0
-    for j, pop in enumerate(r.values):
-        for k, energy in enumerate(e.values):
-            total += pop * energy * (overlap[k, j] - (1.0 if j == k else 0.0))
-    return float(total)
-
-
 def _power_of(p, h):
     """P = Tr[rho K], K = -i[H, H_ch], as a function of a state or a stack.
 
@@ -161,19 +141,6 @@ def _orbit_metrics(p, h, zeta):
 def instantaneous_power(rho, p):
     """P = Tr[-i [H_ch, rho] H] = dxi/dt of a state or a (..., 4, 4) stack."""
     return _power_of(p, build_hamiltonian(p))(np.asarray(rho, dtype=complex))
-
-
-def instantaneous_power_fd(p, t, dt=1e-4):
-    """Central finite difference of xi(t) on the Gibbs charging orbit."""
-    zeta = gibbs_numeric(p)
-    h = build_hamiltonian(p)
-    e0 = float(np.trace(zeta @ h).real)
-
-    def xi_at(ti):
-        u = charging_unitary(p, ti)
-        return float(np.trace(u @ zeta @ u.conj().T @ h).real) - e0
-
-    return (xi_at(t + dt) - xi_at(t - dt)) / (2.0 * dt)
 
 
 def _times_for(traj, grid):
@@ -243,44 +210,6 @@ def ergotropy_closed_form(p, t):
     bracket2 = (d + e) * (d * th.ws_over_k1 + e * th.sinhj_over_k2 + th.w_cosh_s - th.cosh_j)
     out = (2.0 * sin2 * bracket1 + sin2_2 * bracket2) / (0.5 * th.twod0)
     return out if out.ndim else float(out)
-
-
-def ergotropy_closed_form_literal(p, t, flip_epsilon=False):
-    """Collapsed closed-form xi variant, evaluated verbatim.
-
-    Complex-valued: two of its factors carry iD terms, and one real
-    exponential is collapsed into exp(2(delta - iD)/T).  At D = 0 its
-    imaginary part vanishes and it equals `ergotropy_closed_form` with
-    the opposite sign convention for epsilon; pass flip_epsilon=True to
-    apply that convention.  Kept as a diagnostic, not an oracle.
-    """
-    d = p.delta
-    e = -p.epsilon if flip_epsilon else p.epsilon
-    dm, g, b = p.dm, p.ksea, p.field
-    tt = p.temperature
-    k1 = p.kappa1()
-    k2 = math.sqrt(b * b + g * g + e * e)
-    u1 = math.cosh(2.0 * k1 / (3.0 * tt))
-    v1 = math.sinh(2.0 * k2 / tt)
-    v2 = math.cosh(2.0 * k2 / tt)
-    w = math.exp(4.0 * d / (3.0 * tt))
-    s = p.omega * np.asarray(t, dtype=float)
-    sin2 = np.sin(s) ** 2
-    sin2_2 = np.sin(2.0 * s) ** 2
-    cos_2 = np.cos(2.0 * s)
-    alpha = -d + 1j * dm + e
-    pref = 1.0 / (w * u1 + v2)
-    if k2 < 1e-12:
-        ratio = (2.0 / tt) * _sinhc(2.0 * k2 / tt)
-    else:
-        ratio = v1 / k2
-    core = (
-        alpha * sin2_2 * v2
-        + (-alpha) * np.exp(2.0 * (d - 1j * dm) / tt) * sin2_2
-        + 2.0 * sin2 * ratio * (2.0 * b * b + 2.0 * g * g + e * alpha * (1.0 + cos_2))
-    )
-    out = pref * core
-    return out if out.ndim else complex(out)
 
 
 def capacity_closed_form(p):

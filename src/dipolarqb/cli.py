@@ -379,13 +379,18 @@ def _grid_point_row(task):
 
 
 def _run_tasks(worker, tasks, jobs):
-    """Map tasks to the pool, preserving order; inline when jobs == 1."""
-    if jobs == 1 or len(tasks) <= 1:
+    """Map tasks to the pool, preserving order; inline when one worker suffices.
+
+    The pool gets at most one worker per task and per CPU: under fork the
+    executor starts every worker at the first submit, however large jobs is.
+    """
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # --jobs 1 never loads multiprocessing
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (4 * jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(tasks) // (4 * workers))
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 

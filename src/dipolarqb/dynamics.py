@@ -17,10 +17,9 @@ column-stacked state, with L = `lindblad_superoperator`.
 `evolve_lindblad` precomputes P^stride once and applies it between
 stored samples (a smaller power for the last, partial stride): the same
 numerical method as the step-by-step loop, without the per-step Python
-work.  `lindblad_rhs` stays as the plain definition of the generator
-that L is checked against, and expm(L t) as the exact cross-check of
-the trajectories; the gamma = 0 limit must reproduce plain unitary
-conjugation.
+work.  The plain generator `oracles.lindblad_rhs` is what L is checked
+against, and expm(L t) is the exact cross-check of the trajectories;
+the gamma = 0 limit must reproduce plain unitary conjugation.
 
 Charging is closed-system: rho(t) = U(t) rho0 U(t)^dag with the
 transverse-field propagator from `model.charging_unitary`, conjugated
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermiticity_defect
 from .model import (
     IDENTITY_2,
     SIGMA_X,
@@ -101,21 +99,11 @@ def collapse_operators(p):
     return [g * np.kron(SIGMA_X, IDENTITY_2), g * np.kron(IDENTITY_2, SIGMA_X)]
 
 
-def lindblad_rhs(p, rho):
-    """Generator applied to one state; Hermitian and traceless output."""
-    h = build_hamiltonian(p)
-    out = -1j * (h @ rho - rho @ h)
-    for c in collapse_operators(p):
-        cdc = c.conj().T @ c
-        out += c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
-    return out
-
-
 def lindblad_superoperator(p):
     """16x16 generator L on column-stacked states.
 
-    L @ rho.flatten(order="F") equals lindblad_rhs(p, rho) flattened the
-    same way; evolve_lindblad builds its RK4 step from L, and
+    L @ rho.flatten(order="F") equals oracles.lindblad_rhs(p, rho)
+    flattened the same way; evolve_lindblad builds its RK4 step from L, and
     expm(L t) is the exact propagator its results are checked against.
     """
     h = build_hamiltonian(p)
@@ -202,12 +190,3 @@ def charge_trajectory(p, rho0, grid, n_samples=DEFAULT_SAMPLES):
     """
     times = grid.t0 + grid.dt * np.array(grid.sample_steps(n_samples))
     return times, charged_state(p, np.asarray(rho0, dtype=complex), times)
-
-
-def is_valid_state(rho, herm_tol=1e-9, trace_tol=1e-8, psd_tol=1e-8):
-    """Cheap validity probe for tests and demos; no production path calls it."""
-    if hermiticity_defect(rho) > herm_tol:
-        return False
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        return False
-    return float(np.linalg.eigvalsh(rho).min()) >= -psd_tol

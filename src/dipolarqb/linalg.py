@@ -3,9 +3,7 @@
 Everything downstream works with plain numpy arrays of complex128.  The
 helpers here add the validation semantics the rest of the package relies
 on: Hermiticity checks that report the worst offending entry, an
-eigendecomposition with deterministic ordering and degenerate-subspace
-re-orthonormalization, a matrix exponential that routes Hermitian and
-anti-Hermitian inputs through their eigenbasis, partial traces, the
+eigendecomposition with deterministic ordering, partial traces, the
 von Neumann entropy in bits, and the one 1-D refiner (golden section).
 
 Entropy eigenvalues in [-1e-10, 0) are treated as round-off and clipped
@@ -18,7 +16,6 @@ import math
 import numpy as np
 
 HERM_TOL = 1e-10
-DEGENERACY_TOL = 1e-10
 CLIP_TOL = 1e-10
 
 
@@ -58,22 +55,11 @@ class SpectralDecomposition:
         return iter((self.values, self.vectors))
 
 
-def _gram_schmidt_in_place(block):
-    # re-orthonormalize the columns of a degenerate eigenspace in index order
-    for j in range(block.shape[1]):
-        v = block[:, j]
-        for k in range(j):
-            v = v - (block[:, k].conj() @ v) * block[:, k]
-        block[:, j] = v / np.linalg.norm(v)
-    return block
-
-
 def hermitian_eigen(m, order="ascending"):
     """Eigendecomposition of a Hermitian matrix with deterministic ordering.
 
-    Eigenvalues equal within 1e-10 are grouped and their eigenvectors
-    re-orthonormalized by Gram-Schmidt in index order, so degenerate
-    subspaces come out the same on every run.
+    numpy's eigh (LAPACK zheevd) returns orthonormal eigenvectors, also
+    in degenerate subspaces, and the same ones on every run.
 
     Parameters
     ----------
@@ -88,43 +74,11 @@ def hermitian_eigen(m, order="ascending"):
         raise ValueError(f"unknown sort order {order!r}")
     m = np.asarray(m, dtype=complex)
     require_hermitian(m)
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    # eigh returns ascending order already; group near-equal values
-    i = 0
-    n = len(w)
-    while i < n:
-        j = i + 1
-        while j < n and abs(w[j] - w[i]) <= DEGENERACY_TOL:
-            j += 1
-        if j - i > 1:
-            v[:, i:j] = _gram_schmidt_in_place(v[:, i:j])
-        i = j
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))  # ascending
     if order == "descending":
         w = w[::-1].copy()
         v = v[:, ::-1].copy()
     return SpectralDecomposition(w, v, order)
-
-
-def matrix_exp(m):
-    """exp(M) for a dense complex matrix.
-
-    Hermitian input goes through its eigenbasis; anti-Hermitian input
-    (M = -iH with H Hermitian, the unitary-propagator case) through the
-    eigenbasis of iM.  Anything else falls back to scaling-and-squaring.
-    """
-    m = np.asarray(m, dtype=complex)
-    if hermiticity_defect(m) <= HERM_TOL:
-        h = 0.5 * (m + m.conj().T)
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(w)) @ v.conj().T
-    im = 1j * m
-    if hermiticity_defect(im) <= HERM_TOL:
-        h = 0.5 * (im + im.conj().T)  # m = -i h
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * w)) @ v.conj().T
-    from scipy.linalg import expm  # imported here: only this branch needs scipy
-
-    return expm(m)
 
 
 def partial_trace(rho, keep="A"):
@@ -163,21 +117,6 @@ def von_neumann_entropy(rho):
     w = np.clip(w, 0.0, None)
     nz = w[w > 0]
     return float(-np.sum(nz * np.log2(nz)))
-
-
-def entropy_2x2(a, d, b):
-    """Entropy in bits of the 2x2 Hermitian matrix [[a, b], [conj(b), d]].
-
-    Closed-form eigenvalues avoid an eigensolver call in the discord
-    optimizer's inner loop.  a, d real; negative round-off clipped.
-    """
-    half = 0.5 * (a + d)
-    gap = np.sqrt(max(0.25 * (a - d) ** 2 + abs(b) ** 2, 0.0))
-    out = 0.0
-    for lam in (half + gap, half - gap):
-        if lam > 0.0:
-            out -= lam * np.log2(lam)
-    return out
 
 
 def golden_max(f, lo, hi, tol):

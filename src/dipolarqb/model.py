@@ -38,8 +38,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import matrix_exp
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -182,13 +180,8 @@ def charging_unitary(p, t):
     """Propagator exp(-i H_ch t) in closed form (module docstring).
 
     An array of times gives a (..., 4, 4) stack; the result is unitary
-    to round-off and matches matrix_exp(-i H_ch t).
+    to round-off and matches `oracles.charging_unitary_exact`.
     """
     wt = p.omega * np.asarray(t, dtype=float)
     coef = np.stack([np.cos(wt) ** 2, -np.sin(wt) ** 2, -0.5j * np.sin(2.0 * wt)], axis=-1)
     return coef[..., _CHARGER_PATTERN]
-
-
-def charging_unitary_exact(p, t):
-    """Reference propagator via the matrix exponential (cross-check path)."""
-    return matrix_exp(-1j * charging_hamiltonian(p) * t)

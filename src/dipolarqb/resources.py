@@ -30,6 +30,12 @@
     objective is smooth in the two angles, so grid-plus-polish avoids
     local maxima without closed-form special cases.  This general route
     is also the reference the X-state path is tested against.
+
+  The objective has two evaluators, kept apart because each is the fast
+  one for its caller: `_conditional_entropy` takes the grids as angle
+  arrays (tens of times cheaper than the same grid point by point), and
+  `_scalar_objective` takes the refiners' single points (about ten times
+  cheaper than a one-point array call).
 """
 
 import math

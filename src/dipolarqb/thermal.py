@@ -22,12 +22,7 @@ Two independent routes build the same state:
   sinh(x)/x series branches.  This route exists purely as a
   cross-validation oracle for the numeric one.
 
-`gibbs_spectrum` reports the numeric eigensystem of the state together
-with diagnostics comparing it against the analytic eigenvalue set
-(Boltzmann weights in disguise) and against two candidate values of the
-analytic eigenvector parameter for the {|00>,|11>} branch, only one of
-which agrees with the Hamiltonian eigenbasis; see
-`GibbsSpectrumDiagnostics`.
+The eigensystem diagnostics (`gibbs_spectrum`) live in `oracles`.
 """
 
 import math
@@ -36,8 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, hermitian_eigen
-from .model import build_hamiltonian, closed_form_spectrum
+from .model import build_hamiltonian
 
 
 def _sinhc(x):
@@ -140,101 +134,3 @@ def gibbs_closed_form(p):
     z14 = 1j * (p.ksea + 1j * p.epsilon) * t.sinhj_over_k2 / t.twod0
     z23 = (p.delta - 3j * p.dm) * t.ws_over_k1 / t.twod0
     return GibbsClosedForm(z11=float(z11), z14=complex(z14), z22=float(z22), z23=complex(z23), z44=float(z44), j_arg=t.j_arg, s_arg=t.s_arg)
-
-
-@dataclass
-class GibbsSpectrumDiagnostics:
-    """Cross-checks of the numeric Gibbs eigensystem against analytic forms.
-
-    phi_closed : the four analytic eigenvalues (descending).
-    phi_max_deviation : max |numeric - analytic| eigenvalue gap.
-    vector_param_literal : the literal closed-form candidate for the
-        {|00>,|11>}-branch eigenvector parameter, W kappa2 |sinh S| / sinh J.
-    vector_param_consistent : the value (kappa2) that makes those
-        eigenvectors coincide with the Hamiltonian eigenbasis, as they
-        must since the state commutes with H.
-    vector_overlap_defect_literal / _consistent : 1 - |<numeric|analytic>|
-        for the worst {|00>,|11>}-branch eigenvector under each parameter
-        choice (only meaningful away from degeneracies).
-    """
-
-    phi_closed: np.ndarray
-    phi_max_deviation: float
-    vector_param_literal: float
-    vector_param_consistent: float
-    vector_overlap_defect_literal: float
-    vector_overlap_defect_consistent: float
-
-
-def _closed_form_phis(p):
-    """Analytic Gibbs eigenvalues, descending, overflow-safe."""
-    t = _thermal_terms(p)
-    return np.sort(np.array(t.e) / t.twod0)[::-1]
-
-
-def _log_sinh(x):
-    """log(sinh(x)) for x > 0 without overflow."""
-    return x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
-
-
-def _branch_vector(b_param, ksea, epsilon):
-    top = -1j * (b_param)
-    den = ksea - 1j * epsilon
-    n = math.hypot(abs(top), abs(den))
-    v = np.zeros(4, dtype=complex)
-    v[0] = top / n
-    v[3] = den / n
-    return v
-
-
-def gibbs_spectrum(p):
-    """Descending eigensystem of the numeric Gibbs state, with diagnostics.
-
-    Returns a SpectralDecomposition whose `diagnostics` attribute holds a
-    GibbsSpectrumDiagnostics record.
-    """
-    rho = gibbs_numeric(p)
-    dec = hermitian_eigen(rho, order="descending")
-    phi = _closed_form_phis(p)
-    phi_dev = float(np.max(np.abs(np.sort(dec.values)[::-1] - phi)))
-
-    T = p.temperature
-    k1, k2 = p.kappa1(), p.kappa2()
-    S = 2.0 * k1 / (3.0 * T)
-    J = 2.0 * k2 / T
-    if J > 1e-300 and (abs(p.ksea) > 0 or abs(p.epsilon) > 0):
-        # kappa2 * W |sinh S| / sinh J, evaluated in log space
-        if S <= 0.0:
-            l_literal = 0.0
-        else:
-            log_l = 4.0 * p.delta / (3.0 * T) + _log_sinh(S) - _log_sinh(J)
-            l_literal = k2 * math.exp(log_l) if log_l < 700.0 else math.inf
-        l_consistent = k2
-        defects = []
-        for l_value in (l_literal, l_consistent):
-            worst = 0.0
-            for sign in (+1.0, -1.0):
-                cand = _branch_vector(p.field + sign * l_value, p.ksea, p.epsilon)
-                # best match among the numeric eigenvectors
-                overlap = max(abs(np.vdot(dec.vectors[:, k], cand)) for k in range(4))
-                worst = max(worst, 1.0 - overlap)
-            defects.append(worst)
-        diag = GibbsSpectrumDiagnostics(
-            phi_closed=phi,
-            phi_max_deviation=phi_dev,
-            vector_param_literal=l_literal,
-            vector_param_consistent=l_consistent,
-            vector_overlap_defect_literal=defects[0],
-            vector_overlap_defect_consistent=defects[1],
-        )
-    else:
-        diag = GibbsSpectrumDiagnostics(
-            phi_closed=phi,
-            phi_max_deviation=phi_dev,
-            vector_param_literal=float("nan"),
-            vector_param_consistent=k2,
-            vector_overlap_defect_literal=float("nan"),
-            vector_overlap_defect_consistent=float("nan"),
-        )
-    dec.diagnostics = diag
-    return dec

@@ -29,19 +29,17 @@ from dipolarqb import (
     concurrence,
     ergotropy,
     ergotropy_closed_form,
-    ergotropy_closed_form_literal,
-    ergotropy_double_sum,
     evolve_lindblad,
     gibbs_closed_form,
     gibbs_numeric,
     hermitian_eigen,
     l1_coherence,
-    matrix_exp,
     orbit_peaks,
     passive_state,
     quantum_discord,
     work_and_power,
 )
+from dipolarqb.oracles import ergotropy_closed_form_literal, ergotropy_double_sum, matrix_exp
 from dipolarqb.cli import parse_config, run_scenario
 from conftest import bell_state, ket00, random_density, random_hermitian
 

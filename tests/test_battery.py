@@ -17,17 +17,19 @@ from dipolarqb import (
     closed_form_spectrum,
     ergotropy,
     ergotropy_closed_form,
-    ergotropy_closed_form_literal,
-    ergotropy_double_sum,
     gibbs_closed_form,
     gibbs_numeric,
     hermitian_eigen,
     instantaneous_power,
-    instantaneous_power_fd,
     l1_coherence,
     orbit_peaks,
     passive_state,
     work_and_power,
+)
+from dipolarqb.oracles import (
+    ergotropy_closed_form_literal,
+    ergotropy_double_sum,
+    instantaneous_power_fd,
 )
 from conftest import random_density, random_hermitian, random_params
 

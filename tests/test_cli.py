@@ -450,6 +450,37 @@ class TestMain:
         assert main(["spectrum", "--out", out]) == 1
         assert "DIPOLAR_QB_JOBS" in capsys.readouterr().err
 
+    def test_huge_jobs_capped_by_tasks_and_cpus(self, tmp_path, monkeypatch):
+        # a stand-in pool that records its size and maps inline, so the
+        # huge value never reaches a real executor
+        import concurrent.futures
+
+        recorded = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        argv = ["thermal-sweep", "--delta", "1", "--sweep", "temperature:0.5:2:3"]
+        outs = {}
+        for jobs in ("1", "100000"):
+            out = tmp_path / f"t{jobs}.csv"
+            assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
+            outs[jobs] = out.read_bytes()
+        cap = min(3, os.cpu_count() or 1)
+        assert recorded == ([cap] if cap > 1 else [])
+        assert outs["100000"] == outs["1"]
+
 
 # a text value for each run key, valid wherever the key is taken
 RUN_KEY_VALUES = {

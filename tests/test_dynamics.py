@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dipolarqb import (
     IntegrationAccuracyError,
@@ -14,12 +15,10 @@ from dipolarqb import (
     evolve_lindblad,
     gibbs_numeric,
     hermitian_eigen,
-    is_valid_state,
     l1_coherence,
-    lindblad_rhs,
     lindblad_superoperator,
-    matrix_exp,
 )
+from dipolarqb.oracles import is_valid_state, lindblad_rhs, matrix_exp
 from conftest import bell_state, ket00, random_density
 
 
@@ -139,7 +138,7 @@ class TestEvolveLindblad:
         assert concurrence(states[0]) > 0.999
         assert concurrence(states[-1]) < 0.05
         # matrix-exponential superoperator oracle at the endpoint
-        prop = matrix_exp(lindblad_superoperator(p) * times[-1])
+        prop = expm(lindblad_superoperator(p) * times[-1])
         ref = (prop @ bell_state().flatten(order="F")).reshape(4, 4, order="F")
         assert np.max(np.abs(states[-1] - ref)) < 1e-7
 
@@ -176,7 +175,7 @@ class TestEvolveLindblad:
         p = ModelParams(delta=1.0, epsilon=0.5, dm=0.2, field=0.4, gamma=0.15)
         t1 = 2.0
         _, states = evolve_lindblad(p, ket00(), TimeGrid(0.0, t1, 1e-3), n_samples=2)
-        prop = matrix_exp(lindblad_superoperator(p) * t1)
+        prop = expm(lindblad_superoperator(p) * t1)
         ref = (prop @ ket00().flatten(order="F")).reshape(4, 4, order="F")
         assert np.max(np.abs(states[-1] - ref)) < 1e-7
 

@@ -10,9 +10,8 @@ from dipolarqb import (
     charging_unitary,
     closed_form_spectrum,
     hermitian_eigen,
-    matrix_exp,
 )
-from dipolarqb.model import charging_unitary_exact
+from dipolarqb.oracles import charging_unitary_exact, matrix_exp
 
 
 class TestModelParams:

@@ -10,11 +10,11 @@ from dipolarqb import (
     ModelParams,
     charge_trajectory,
     concurrence,
-    entropy_2x2,
     gibbs_numeric,
     l1_coherence,
     quantum_discord,
     TimeGrid,
+    von_neumann_entropy,
 )
 from dipolarqb.cli import parse_config
 from dipolarqb.resources import (
@@ -285,9 +285,7 @@ class TestOptimizerInternals:
                 for k in (0, 1):
                     cond = np.einsum("im,mkil->kl", pairs[n, k], r4)
                     prob = np.trace(cond).real
-                    ref += prob * entropy_2x2(
-                        cond[0, 0].real / prob, cond[1, 1].real / prob, cond[0, 1] / prob
-                    )
+                    ref += prob * von_neumann_entropy(cond / prob)
                 assert abs(fast[n] - ref) < 1e-10
 
     def test_scalar_objective_matches_vectorized(self, rng):

@@ -4,10 +4,10 @@ scipy and multiprocessing are imported at their first use, so a fresh
 interpreter that imports dipolarqb, or runs any study with --jobs 1
 except `charge --with-discord`, never loads them.  Discord of X-states
 (every dephasing and thermal-sweep state) is numpy-only; only discord
-of other states (the charging orbit) and a matrix exponential of a
-matrix that is neither Hermitian nor anti-Hermitian reach scipy.  Each
-test runs in its own child interpreter, because this one has long since
-imported both.
+of other states (the charging orbit) reaches scipy.  Neither importing
+the package nor running a study loads the cross-check module
+`dipolarqb.oracles`.  Each test runs in its own child interpreter,
+because this one has long since imported all of them.
 """
 
 import json
@@ -18,8 +18,8 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HEAVY = ("scipy", "multiprocessing")
 
-# argv: src dir, JSON list of CLI argv lists; prints exit codes and the
-# heavy modules loaded once every run has returned
+# argv: src dir, JSON list of CLI argv lists; prints exit codes, the
+# heavy modules loaded and whether oracles was, once every run has returned
 _CHILD = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -30,7 +30,8 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(dipolarqb.cli.main(argv))
 heavy = sorted(m for m in sys.modules if m.split(".")[0] in {heavy!r})
-print(json.dumps({{"codes": codes, "heavy": heavy}}))
+oracles = "dipolarqb.oracles" in sys.modules
+print(json.dumps({{"codes": codes, "heavy": heavy, "oracles": oracles}}))
 """
 
 
@@ -68,12 +69,14 @@ def charge_discord_run(tmp_path):  # orbit states are not X-states
 def test_import_loads_neither_scipy_nor_multiprocessing():
     result, _ = run_child([])
     assert result["heavy"] == []
+    assert result["oracles"] is False
 
 
 def test_cheap_studies_load_neither(tmp_path):
     result, stderr = run_child(cheap_runs(tmp_path))
     assert result["codes"] == [0] * 6, stderr
     assert result["heavy"] == []
+    assert result["oracles"] is False
 
 
 def test_discord_loads_scipy_optimize(tmp_path):  # the positive control

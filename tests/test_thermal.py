@@ -9,9 +9,9 @@ from dipolarqb import (
     ergotropy,
     gibbs_closed_form,
     gibbs_numeric,
-    gibbs_spectrum,
     closed_form_spectrum,
 )
+from dipolarqb.oracles import gibbs_spectrum
 from conftest import random_params
 
 

@@ -1,15 +1,20 @@
-"""The benchmark tracer's function names must exist in the package.
+"""The benchmark's imports must exist in the package, and oracles stay apart.
 
-`perfbench/tracer.py` wraps each name in TRACED with getattr; a refactor
-that drops or renames one of them would otherwise only show as a crash
-of a traced benchmark run.
+`perfbench/tracer.py` wraps each name in TRACED with getattr, and the
+other perfbench scripts import names from the package's modules; a
+refactor that drops or moves one of them would otherwise only show as a
+crash of a benchmark run.  The cross-check routes live in
+`dipolarqb.oracles`, which no production module may import.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE_DIR = ROOT / "src" / "dipolarqb"
 
 
 def load_tracer():
@@ -26,3 +31,35 @@ def test_every_traced_name_is_a_package_callable():
         module_name, _, attr = name.rpartition(".")
         module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
         assert callable(getattr(module, attr, None)), name
+
+
+def test_every_perfbench_module_import_resolves():
+    found = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dipolarqb."):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    found.append(f"{node.module}.{alias.name}")
+                    assert hasattr(module, alias.name), f"{path.name}: {found[-1]}"
+    assert found  # the benchmark's gate imports from the package modules
+
+
+def imports_oracles(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name == "dipolarqb.oracles" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in ("oracles", "dipolarqb.oracles"):
+                return True
+            if node.module in (None, "dipolarqb") and any(a.name == "oracles" for a in node.names):
+                return True
+    return False
+
+
+def test_no_production_module_imports_oracles():
+    assert imports_oracles(ast.parse("from .oracles import matrix_exp"))  # the check bites
+    offenders = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if path.name != "oracles.py" and imports_oracles(ast.parse(path.read_text()))]
+    assert offenders == []
