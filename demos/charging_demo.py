@@ -11,7 +11,6 @@ import numpy as np
 from dipolarqb import (
     ModelParams,
     TimeGrid,
-    battery_metrics,
     capacity,
     charge_trajectory,
     ergotropy_closed_form,
@@ -26,10 +25,10 @@ zeta = gibbs_numeric(p)
 grid = TimeGrid(0.0, np.pi / p.omega, 1e-3)
 times, states = charge_trajectory(p, zeta, grid, n_samples=9)
 
+series = work_and_power(states, times, p)
 print("Omega*t   ergotropy   power_avg  efficiency")
-for t, rho in zip(times, states):
-    m = battery_metrics(rho, t, p)
-    print(f"{p.omega * t:7.4f}  {m.ergotropy:10.6f}  {m.power_avg:9.6f}  {m.efficiency:9.6f}")
+for t, xi, pavg, eff in zip(times, series["ergotropy"], series["power_avg"], series["efficiency"]):
+    print(f"{p.omega * t:7.4f}  {xi:10.6f}  {pavg:9.6f}  {eff:9.6f}")
 
 cap = capacity(p)
 print("\ncapacity (basis)  :", cap.capacity_basis)
@@ -46,5 +45,4 @@ peaks = orbit_peaks(p)
 print("\npeak ergotropy", peaks.ergotropy_max, "at Omega*t =", peaks.ergotropy_peak_at)
 print("expected peak angle pi/4 =", np.pi / 4)
 
-series = work_and_power(states, times, p)
 print("\nergotropy column head:", np.round(series["ergotropy"][:4], 8))

@@ -18,7 +18,7 @@ print("traceless:", abs(np.trace(h)) < 1e-12)
 
 spec = closed_form_spectrum(p)
 print("\nclosed-form levels:", np.sort(spec.nu))
-print("numeric levels:    ", hermitian_eigen(h).values)
+print("numeric levels:    ", hermitian_eigen(h)[0])
 
 # eigenvector residuals ||H v - nu v||
 for nu, v in zip(spec.nu, spec.eigvecs.T):

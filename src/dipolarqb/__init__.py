@@ -6,11 +6,9 @@ charging, and the associated resource and battery metrics, plus the
 """
 
 from .battery import (
-    BatteryMetrics,
     CapacityReport,
     OrbitPeaks,
     antipassive_state,
-    battery_metrics,
     capacity,
     capacity_closed_form,
     charging_orbit_arrays,
@@ -31,7 +29,6 @@ from .dynamics import (
     lindblad_superoperator,
 )
 from .linalg import (
-    SpectralDecomposition,
     hermitian_eigen,
     hermiticity_defect,
     partial_trace,
@@ -62,7 +59,6 @@ from .thermal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatteryMetrics",
     "CapacityReport",
     "ClosedFormSpectrum",
     "DiscordResult",
@@ -71,11 +67,9 @@ __all__ = [
     "MeasurementDirection",
     "ModelParams",
     "OrbitPeaks",
-    "SpectralDecomposition",
     "TimeGrid",
     "TimeSeries",
     "antipassive_state",
-    "battery_metrics",
     "build_hamiltonian",
     "capacity",
     "capacity_closed_form",

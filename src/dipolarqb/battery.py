@@ -17,8 +17,9 @@ instantaneous power is P = Tr[rho K] with the fixed operator
 K = -i[H, H_ch]; it equals Tr[-i[H_ch, rho] H] = dxi/dt, which
 `oracles.instantaneous_power_fd` checks by finite differences.  xi, P
 and the l1 coherence are each computed by one function over
-(..., 4, 4) state stacks, which the per-sample metrics, the trajectory
-columns and the orbit peak search all call.
+(..., 4, 4) state stacks, which the trajectory columns
+(`work_and_power`, the one route from charged samples to battery
+columns), the orbit arrays and the orbit peak search all call.
 
 Two capacity notions coexist and are always reported side by side:
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TimeGrid, TimeSeries, charged_state
+from .dynamics import TimeSeries, charged_state
 from .linalg import golden_max, hermitian_eigen, require_hermitian
 from .model import build_hamiltonian, charging_hamiltonian
 from .resources import l1_coherence
@@ -49,28 +50,6 @@ from .thermal import _thermal_terms, gibbs_numeric
 
 PEAK_GRID_N = 2000
 PEAK_TOL = 1e-8
-
-
-@dataclass
-class BatteryMetrics:
-    """Charging metrics of one sample, or columns over a stack of samples.
-
-    All energies are in units of K.
-    """
-
-    ergotropy: float
-    work: float
-    power_instant: float
-    power_avg: float
-    efficiency: float
-    coherence: float
-    time: float
-
-    def __post_init__(self):
-        if np.min(self.ergotropy) < -1e-9:
-            raise ValueError(f"ergotropy {np.min(self.ergotropy)} below -1e-9")
-        if np.max(self.efficiency) > 1.0 + 1e-9:
-            raise ValueError(f"efficiency {np.max(self.efficiency)} above 1")
 
 
 @dataclass
@@ -86,8 +65,8 @@ def _paired_state(rho, h, energy_order):
     h = np.asarray(h, dtype=complex)
     require_hermitian(rho, name="rho")
     require_hermitian(h, name="H")
-    pops = hermitian_eigen(rho, order="descending").values
-    vecs = hermitian_eigen(h, order=energy_order).vectors
+    pops, _ = hermitian_eigen(rho, order="descending")
+    _, vecs = hermitian_eigen(h, order=energy_order)
     return (vecs * pops) @ vecs.conj().T
 
 
@@ -143,55 +122,33 @@ def instantaneous_power(rho, p):
     return _power_of(p, build_hamiltonian(p))(np.asarray(rho, dtype=complex))
 
 
-def _times_for(traj, grid):
-    if isinstance(grid, TimeGrid):
-        n = grid.n_steps()
-        if len(traj) != n + 1:
-            raise ValueError(
-                f"trajectory has {len(traj)} samples but the grid implies {n + 1}"
-            )
-        times = grid.t0 + grid.dt * np.arange(n + 1)
-    else:
-        times = np.asarray(grid, dtype=float)
-        if times.ndim != 1 or times.size != len(traj):
-            raise ValueError("times must be a 1-D array matching the trajectory")
-    if times.size > 1 and np.any(np.diff(times) <= 0.0):
-        raise ValueError("sample times must be strictly increasing")
-    return times
+def work_and_power(traj, times, p):
+    """Battery columns of charged samples relative to the Gibbs start.
 
-
-def battery_metrics(rho, t, p):
-    """Metrics of charged samples relative to the Gibbs start.
-
-    One state at time t gives floats; an (N, 4, 4) stack at N times
-    gives length-N columns.
+    traj holds one state per entry of the 1-D, strictly increasing
+    times.  On the unitary orbit the work W is xi, so the efficiency
+    W/xi is 1 (0/0 at t = 0 taken as 1) and the average power is W/t
+    (0 at t = 0).  Returns a TimeSeries of the columns, in units of K.
     """
-    rho = np.asarray(rho, dtype=complex)
-    t = np.asarray(t, dtype=float)
+    rho = np.asarray(traj, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size != len(rho):
+        raise ValueError(f"trajectory has {len(rho)} samples but {times.size} times "
+                         f"(shape {times.shape}); need one 1-D entry per sample")
     xi_of, power_of, coherence_of = _orbit_metrics(p, build_hamiltonian(p), gibbs_numeric(p))
     xi = xi_of(rho)
     xi = np.where((-1e-9 < xi) & (xi < 0.0), 0.0, xi)
-    work = xi
     with np.errstate(divide="ignore", invalid="ignore"):
-        # eta = W/xi = 1 identically on the orbit; 0/0 at t=0 resolved to 1
-        eff = np.where(xi > 0.0, work / xi, 1.0)
-        pavg = np.where(t > 0.0, work / t, 0.0)
-    return BatteryMetrics(
-        ergotropy=xi[()],
-        work=work[()],
-        power_instant=power_of(rho),
-        power_avg=pavg[()],
-        efficiency=eff[()],
-        coherence=coherence_of(rho),
-        time=t[()],
-    )
-
-
-def work_and_power(traj, grid, p):
-    """Per-sample battery metrics of a charging trajectory as a TimeSeries."""
-    times = _times_for(traj, grid)
-    m = battery_metrics(traj, times, p)
-    return TimeSeries(times, {k: v for k, v in vars(m).items() if k != "time"})
+        eff = np.where(xi > 0.0, xi / xi, 1.0)
+        pavg = np.where(times > 0.0, xi / times, 0.0)
+    if np.min(xi) < -1e-9:
+        raise ValueError(f"ergotropy {np.min(xi)} below -1e-9")
+    if np.max(eff) > 1.0 + 1e-9:
+        raise ValueError(f"efficiency {np.max(eff)} above 1")
+    return TimeSeries(times, {
+        "ergotropy": xi, "work": xi, "power_instant": power_of(rho), "power_avg": pavg,
+        "efficiency": eff, "coherence": coherence_of(rho),
+    })
 
 
 def ergotropy_closed_form(p, t):

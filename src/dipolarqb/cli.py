@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -221,6 +222,9 @@ def validate_config(cfg):
             f"unknown outputs for {cfg.scenario}: {', '.join(bad)}; "
             f"allowed: {', '.join(sorted(sc.allowed))}"
         )
+    repeated = [c for i, c in enumerate(cfg.outputs or ()) if c in cfg.outputs[:i]]
+    if repeated:
+        raise ConfigError(f"outputs names {', '.join(repeated)} more than once")
     if cfg.samples is not None and cfg.samples < 2:
         raise ConfigError("samples must be at least 2")
     # every swept point must give valid parameters and, for the scenarios
@@ -304,18 +308,20 @@ def serialize_config(cfg):
     return "\n".join(lines) + "\n"
 
 
-def _format_value(v):
-    return f"{float(v):.17g}"
-
-
 def write_csv(path, header, rows):
+    """Write the CSV; a nan or inf value is a ValueError raised before the file opens."""
+    lines = [",".join(header)]
+    for i, row in enumerate(rows, start=1):
+        values = [float(v) for v in row]
+        for name, v in zip(header, values):
+            if not math.isfinite(v):
+                raise ValueError(f"column {name} holds {v} in data row {i}; no CSV written")
+        lines.append(",".join(f"{v:.17g}" for v in values))
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_format_value(v) for v in row) + "\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def _sweep_point_path(base, name, idx, value):
@@ -399,7 +405,7 @@ def _run_tasks(worker, tasks, jobs):
 def _run_spectrum(cfg, out, jobs):
     p = cfg.params
     h = build_hamiltonian(p)
-    numeric = hermitian_eigen(h).values
+    numeric, _ = hermitian_eigen(h)
     closed = np.sort(closed_form_spectrum(p).nu)
     rows = [
         [k + 1, closed[k], numeric[k], abs(closed[k] - numeric[k])]

@@ -3,8 +3,9 @@
 Everything downstream works with plain numpy arrays of complex128.  The
 helpers here add the validation semantics the rest of the package relies
 on: Hermiticity checks that report the worst offending entry, an
-eigendecomposition with deterministic ordering, partial traces, the
-von Neumann entropy in bits, and the one 1-D refiner (golden section).
+eigendecomposition with deterministic ordering that returns
+(values, vectors) as numpy's eigh does, partial traces, the von Neumann
+entropy in bits, and the one 1-D refiner (golden section).
 
 Entropy eigenvalues in [-1e-10, 0) are treated as round-off and clipped
 to zero; anything more negative is rejected as a genuinely invalid
@@ -31,30 +32,6 @@ def require_hermitian(m, tol=HERM_TOL, name="matrix"):
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| entry = {defect:.3e}")
 
 
-class SpectralDecomposition:
-    """Eigenvalues and orthonormal eigenvectors of a Hermitian matrix.
-
-    Attributes
-    ----------
-    values : ndarray of real eigenvalues, sorted per `order`.
-    vectors : complex ndarray whose columns are the eigenvectors,
-        vectors[:, k] belonging to values[k].
-    order : "ascending" or "descending".
-    """
-
-    def __init__(self, values, vectors, order):
-        self.values = np.asarray(values, dtype=float)
-        self.vectors = np.asarray(vectors, dtype=complex)
-        self.order = order
-
-    def reconstruct(self):
-        """Sum_k values[k] |v_k><v_k|."""
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-    def __iter__(self):
-        return iter((self.values, self.vectors))
-
-
 def hermitian_eigen(m, order="ascending"):
     """Eigendecomposition of a Hermitian matrix with deterministic ordering.
 
@@ -68,7 +45,9 @@ def hermitian_eigen(m, order="ascending"):
 
     Returns
     -------
-    SpectralDecomposition
+    (values, vectors) as numpy's eigh gives them: real eigenvalues sorted
+    per `order`, and a complex matrix whose column vectors[:, k] belongs
+    to values[k].
     """
     if order not in ("ascending", "descending"):
         raise ValueError(f"unknown sort order {order!r}")
@@ -78,7 +57,7 @@ def hermitian_eigen(m, order="ascending"):
     if order == "descending":
         w = w[::-1].copy()
         v = v[:, ::-1].copy()
-    return SpectralDecomposition(w, v, order)
+    return w, v
 
 
 def partial_trace(rho, keep="A"):

@@ -14,6 +14,9 @@ route recomputes a production result another way:
 * `lindblad_rhs` is the plain generator applied to one state, the
   definition `dynamics.lindblad_superoperator` is checked against;
   `is_valid_state` is a cheap Hermitian/trace/positivity probe.
+* `_projector_pairs` gives the +/- measurement projectors for angle
+  arrays; the conditionals built from them are the reference for
+  `resources._conditional_entropy`.
 * `ergotropy_double_sum` is the sum over both eigensystems that
   `battery.ergotropy` equals; `instantaneous_power_fd` is the central
   difference of xi(t) that `battery.instantaneous_power` equals.
@@ -111,13 +114,13 @@ def _branch_vector(b_param, ksea, epsilon):
 def gibbs_spectrum(p):
     """Descending eigensystem of the numeric Gibbs state, with diagnostics.
 
-    Returns a SpectralDecomposition whose `diagnostics` attribute holds a
+    Returns (values, vectors, diagnostics), the last a
     GibbsSpectrumDiagnostics record.
     """
     rho = gibbs_numeric(p)
-    dec = hermitian_eigen(rho, order="descending")
+    values, vectors = hermitian_eigen(rho, order="descending")
     phi = _closed_form_phis(p)
-    phi_dev = float(np.max(np.abs(np.sort(dec.values)[::-1] - phi)))
+    phi_dev = float(np.max(np.abs(np.sort(values)[::-1] - phi)))
 
     T = p.temperature
     k1, k2 = p.kappa1(), p.kappa2()
@@ -137,7 +140,7 @@ def gibbs_spectrum(p):
             for sign in (+1.0, -1.0):
                 cand = _branch_vector(p.field + sign * l_value, p.ksea, p.epsilon)
                 # best match among the numeric eigenvectors
-                overlap = max(abs(np.vdot(dec.vectors[:, k], cand)) for k in range(4))
+                overlap = max(abs(np.vdot(vectors[:, k], cand)) for k in range(4))
                 worst = max(worst, 1.0 - overlap)
             defects.append(worst)
         diag = GibbsSpectrumDiagnostics(
@@ -157,8 +160,7 @@ def gibbs_spectrum(p):
             vector_overlap_defect_literal=float("nan"),
             vector_overlap_defect_consistent=float("nan"),
         )
-    dec.diagnostics = diag
-    return dec
+    return values, vectors, diag
 
 
 def lindblad_rhs(p, rho):
@@ -180,6 +182,21 @@ def is_valid_state(rho, herm_tol=1e-9, trace_tol=1e-8, psd_tol=1e-8):
     return float(np.linalg.eigvalsh(rho).min()) >= -psd_tol
 
 
+def _projector_pairs(theta, phi):
+    """(N,2,2,2) array of the +/- projectors for angle arrays."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    st, ct = np.sin(theta), np.cos(theta)
+    nx, ny, nz = st * np.cos(phi), st * np.sin(phi), ct
+    pairs = np.empty((theta.size, 2, 2, 2), dtype=complex)
+    for k, sign in enumerate((1.0, -1.0)):
+        pairs[:, k, 0, 0] = 0.5 * (1.0 + sign * nz)
+        pairs[:, k, 1, 1] = 0.5 * (1.0 - sign * nz)
+        pairs[:, k, 0, 1] = 0.5 * sign * (nx - 1j * ny)
+        pairs[:, k, 1, 0] = 0.5 * sign * (nx + 1j * ny)
+    return pairs
+
+
 def ergotropy_double_sum(rho, h):
     """Independent route: sum_jk r_j e_k (|<e_k|r_j>|^2 - delta_jk).
 
@@ -188,12 +205,12 @@ def ergotropy_double_sum(rho, h):
     """
     rho = np.asarray(rho, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    r = hermitian_eigen(rho, order="descending")
-    e = hermitian_eigen(h, order="ascending")
-    overlap = np.abs(e.vectors.conj().T @ r.vectors) ** 2  # [k, j]
+    pops, r_vecs = hermitian_eigen(rho, order="descending")
+    energies, e_vecs = hermitian_eigen(h, order="ascending")
+    overlap = np.abs(e_vecs.conj().T @ r_vecs) ** 2  # [k, j]
     total = 0.0
-    for j, pop in enumerate(r.values):
-        for k, energy in enumerate(e.values):
+    for j, pop in enumerate(pops):
+        for k, energy in enumerate(energies):
             total += pop * energy * (overlap[k, j] - (1.0 if j == k else 0.0))
     return float(total)
 

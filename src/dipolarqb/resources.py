@@ -96,21 +96,6 @@ class DiscordResult:
     optimizer_evals: int
 
 
-def _projector_pairs(theta, phi):
-    """(N,2,2,2) array of the +/- projectors for angle arrays."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    st, ct = np.sin(theta), np.cos(theta)
-    nx, ny, nz = st * np.cos(phi), st * np.sin(phi), ct
-    pairs = np.empty((theta.size, 2, 2, 2), dtype=complex)
-    for k, sign in enumerate((1.0, -1.0)):
-        pairs[:, k, 0, 0] = 0.5 * (1.0 + sign * nz)
-        pairs[:, k, 1, 1] = 0.5 * (1.0 - sign * nz)
-        pairs[:, k, 0, 1] = 0.5 * sign * (nx - 1j * ny)
-        pairs[:, k, 1, 0] = 0.5 * sign * (nx + 1j * ny)
-    return pairs
-
-
 def _conditional_entropy(r4, theta, phi):
     """Average post-measurement entropy of B for angle arrays (vectorized).
 

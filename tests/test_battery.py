@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from dipolarqb import (
-    BatteryMetrics,
     ModelParams,
     TimeGrid,
     antipassive_state,
-    battery_metrics,
     build_hamiltonian,
     capacity,
     capacity_closed_form,
@@ -52,9 +50,9 @@ class TestPassiveStates:
     def test_top_eigenstate_maps_to_ground(self):
         p = ModelParams(delta=1.0, epsilon=0.3, dm=0.2, ksea=0.1, field=0.7)
         h = build_hamiltonian(p)
-        eig = hermitian_eigen(h, order="ascending")
-        top = np.outer(eig.vectors[:, 3], eig.vectors[:, 3].conj())
-        ground = np.outer(eig.vectors[:, 0], eig.vectors[:, 0].conj())
+        _, vecs = hermitian_eigen(h, order="ascending")
+        top = np.outer(vecs[:, 3], vecs[:, 3].conj())
+        ground = np.outer(vecs[:, 0], vecs[:, 0].conj())
         assert np.max(np.abs(passive_state(top, h) - ground)) < 1e-12
 
     def test_degenerate_hamiltonian_energy_unique(self, rng):
@@ -65,7 +63,7 @@ class TestPassiveStates:
         nu = np.sort(closed_form_spectrum(p).nu)
         for _ in range(30):
             rho = random_density(rng)
-            pops = np.sort(hermitian_eigen(rho).values)[::-1]
+            pops = np.sort(hermitian_eigen(rho)[0])[::-1]
             expected = float(np.dot(pops, nu))
             got = float(np.trace(build_hamiltonian(p) @ passive_state(rho, h)).real)
             assert abs(got - expected) < 1e-10
@@ -97,9 +95,9 @@ class TestErgotropy:
     def test_full_inversion(self):
         p = ModelParams(delta=1.0, epsilon=0.3, dm=0.2, ksea=0.1, field=0.7)
         h = build_hamiltonian(p)
-        eig = hermitian_eigen(h, order="ascending")
-        top = np.outer(eig.vectors[:, 3], eig.vectors[:, 3].conj())
-        assert abs(ergotropy(top, h) - (eig.values[3] - eig.values[0])) < 1e-12
+        values, vecs = hermitian_eigen(h, order="ascending")
+        top = np.outer(vecs[:, 3], vecs[:, 3].conj())
+        assert abs(ergotropy(top, h) - (values[3] - values[0])) < 1e-12
 
     def test_nonnegative(self, rng):
         for _ in range(100):
@@ -225,11 +223,11 @@ class TestWorkAndPower:
     def test_stacked_metrics_match_single_samples(self):
         p = ModelParams(delta=1.0, epsilon=0.4, dm=0.3, ksea=0.2, field=0.6, temperature=0.9)
         times, states = charge_trajectory(p, gibbs_numeric(p), TimeGrid(0.0, 2.0, 1e-3), n_samples=7)
-        stacked = battery_metrics(states, times, p)
-        for i, t in enumerate(times):
-            single = battery_metrics(states[i], t, p)
-            for name, value in vars(single).items():
-                assert abs(getattr(stacked, name)[i] - value) < 1e-12
+        stacked = work_and_power(states, times, p)
+        for i in range(len(times)):
+            single = work_and_power(states[i:i + 1], times[i:i + 1], p)
+            for name, value in single.columns.items():
+                assert abs(stacked[name][i] - value[0]) < 1e-12
 
     def test_rejects_nonmonotone_times(self):
         p = ModelParams(delta=1.0)
@@ -242,19 +240,15 @@ class TestWorkAndPower:
         p = ModelParams(delta=1.0)
         zeta = gibbs_numeric(p)
         with pytest.raises(ValueError, match="samples"):
-            work_and_power([zeta] * 4, TimeGrid(0.0, 1.0, 0.5), p)
+            work_and_power([zeta] * 4, np.array([0.0, 0.5, 1.0]), p)
 
     def test_metrics_validation(self):
+        # H's ground state lies below zeta's energy, so its xi is negative
+        p = ModelParams(delta=1.0, epsilon=0.3, field=0.7)
+        _, vecs = hermitian_eigen(build_hamiltonian(p))
+        ground = np.outer(vecs[:, 0], vecs[:, 0].conj())
         with pytest.raises(ValueError, match="ergotropy"):
-            BatteryMetrics(
-                ergotropy=-1.0, work=0.0, power_instant=0.0, power_avg=0.0,
-                efficiency=1.0, coherence=0.0, time=0.0,
-            )
-        with pytest.raises(ValueError, match="efficiency"):
-            BatteryMetrics(
-                ergotropy=0.0, work=0.0, power_instant=0.0, power_avg=0.0,
-                efficiency=2.0, coherence=0.0, time=0.0,
-            )
+            work_and_power([ground], np.array([0.0]), p)
 
 
 class TestCapacity:
@@ -362,9 +356,9 @@ class TestOrbitArrays:
         p = ModelParams(delta=1.0, epsilon=0.4, dm=0.3, ksea=0.2, field=0.6, temperature=0.9)
         s, xi, power, coh = charging_orbit_arrays(p, n_grid=9)
         zeta = gibbs_numeric(p)
+        t = s / p.omega
+        series = work_and_power([charged_state(p, tk, zeta) for tk in t], t, p)
         for k in range(9):
-            t = s[k] / p.omega
-            m = battery_metrics(charged_state(p, t, zeta), t, p)
-            assert abs(xi[k] - m.ergotropy) < 1e-12
-            assert abs(power[k] - m.power_instant) < 1e-12
-            assert abs(coh[k] - m.coherence) < 1e-12
+            assert abs(xi[k] - series["ergotropy"][k]) < 1e-12
+            assert abs(power[k] - series["power_instant"][k]) < 1e-12
+            assert abs(coh[k] - series["coherence"][k]) < 1e-12

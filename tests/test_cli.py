@@ -176,6 +176,8 @@ class TestValidateConfig:
     def test_unknown_outputs_listed(self):
         with pytest.raises(ConfigError, match="unknown outputs for charge: purity"):
             validate_config(ScenarioConfig(scenario="charge", outputs=("purity",)))
+        with pytest.raises(ConfigError, match="outputs names coherence more than once"):
+            validate_config(ScenarioConfig(scenario="charge", outputs=("coherence", "coherence")))
 
     def test_samples_floor(self):
         with pytest.raises(ConfigError, match="at least 2"):
@@ -374,6 +376,13 @@ class TestMain:
         ])
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_non_finite_value_is_exit_2_and_no_csv(self, tmp_path, capsys, monkeypatch):
+        # 2 kappa / T overflows in the closed-form Gibbs entries
+        monkeypatch.chdir(tmp_path)
+        assert main("gibbs --delta 1 --temperature 1e-320 --jobs 1".split()) == 2
+        assert "closed_re" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_emit_plot_flag(self, tmp_path):
         out = str(tmp_path / "s.csv")
@@ -584,7 +593,8 @@ FUZZ_SWEEPS = (
     "omega:-1:1:3", "omega:0:1:2", "field:0:inf:2", "gamma:0:1:2:exp",
     "coupling:0:1:2", "epsilon:-2:2:3", ":::", "",
 )
-FUZZ_OUTPUTS = ("concurrence", "discord,coherence", "ergotropy,power_avg", "purity", ",", "")
+FUZZ_OUTPUTS = ("concurrence", "discord,coherence", "ergotropy,power_avg", "purity", ",", "",
+                "coherence,coherence")
 FUZZ_FLAGS = (
     [(f"--{k}", FUZZ_NUMBERS) for k in PARAM_KEYS]
     + [("--t0", FUZZ_NUMBERS), ("--t1", FUZZ_NUMBERS), ("--dt", FUZZ_NUMBERS),

@@ -17,12 +17,12 @@ from dipolarqb import (
     von_neumann_entropy,
 )
 from dipolarqb.cli import parse_config
+from dipolarqb.oracles import _projector_pairs
 from dipolarqb.resources import (
     GRID_N,
     _conditional_entropy,
     _discord,
     _general_search,
-    _projector_pairs,
     _scalar_objective,
     _x_state_search,
 )
