@@ -34,8 +34,7 @@ expression for xi(t) on the Gibbs charging orbit, valid for every
 parameter combination including D != 0; its collapsed complex
 variant is `oracles.ergotropy_closed_form_literal`.
 `capacity_closed_form` is the corresponding thermal capacity
-expression, reported next to both capacity definitions because it
-matches neither in general.
+expression; it matches neither capacity definition in general.
 """
 
 from dataclasses import dataclass
@@ -56,7 +55,6 @@ PEAK_TOL = 1e-8
 class CapacityReport:
     capacity_basis: float
     capacity_unitary: float
-    closed_form: float
 
 
 def _paired_state(rho, h, energy_order):
@@ -139,15 +137,12 @@ def work_and_power(traj, times, p):
     xi = xi_of(rho)
     xi = np.where((-1e-9 < xi) & (xi < 0.0), 0.0, xi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        eff = np.where(xi > 0.0, xi / xi, 1.0)
         pavg = np.where(times > 0.0, xi / times, 0.0)
     if np.min(xi) < -1e-9:
         raise ValueError(f"ergotropy {np.min(xi)} below -1e-9")
-    if np.max(eff) > 1.0 + 1e-9:
-        raise ValueError(f"efficiency {np.max(eff)} above 1")
     return TimeSeries(times, {
         "ergotropy": xi, "work": xi, "power_instant": power_of(rho), "power_avg": pavg,
-        "efficiency": eff, "coherence": coherence_of(rho),
+        "efficiency": np.ones(times.size), "coherence": coherence_of(rho),
     })
 
 
@@ -170,7 +165,7 @@ def ergotropy_closed_form(p, t):
 
 
 def capacity_closed_form(p):
-    """Thermal closed-form capacity Q; reported beside both definitions.
+    """Thermal closed-form capacity Q; compared with both definitions.
 
     Numerically equal to <00|H|00> - Tr[H zeta], i.e. the gap between
     the highest-field basis state and the thermal energy, which matches
@@ -194,12 +189,11 @@ def _unitary_capacity(h, zeta):
 
 
 def capacity(p):
-    """Both capacity definitions plus the thermal closed form."""
+    """Both capacity definitions."""
     h = build_hamiltonian(p)
     return CapacityReport(
         capacity_basis=float(h[3, 3].real - h[0, 0].real),
         capacity_unitary=_unitary_capacity(h, gibbs_numeric(p)),
-        closed_form=float(capacity_closed_form(p)),
     )
 
 

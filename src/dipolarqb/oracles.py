@@ -17,6 +17,11 @@ route recomputes a production result another way:
 * `_projector_pairs` gives the +/- measurement projectors for angle
   arrays; the conditionals built from them are the reference for
   `resources._conditional_entropy`.
+* `nelder_mead_search` is a second discord search with the same
+  contract: a 64x64 grid over the whole sphere, then scipy's
+  Nelder-Mead from the five best cells.  It is the reference for
+  `resources._general_search`, and the one route that loads scipy, at
+  its first call.
 * `ergotropy_double_sum` is the sum over both eigensystems that
   `battery.ergotropy` equals; `instantaneous_power_fd` is the central
   difference of xi(t) that `battery.instantaneous_power` equals.
@@ -34,7 +39,11 @@ import numpy as np
 from .dynamics import collapse_operators
 from .linalg import HERM_TOL, hermitian_eigen, hermiticity_defect
 from .model import build_hamiltonian, charging_hamiltonian, charging_unitary
+from .resources import _conditional_entropy, _scalar_objective
 from .thermal import _sinhc, _thermal_terms, gibbs_numeric
+
+GRID_N = 64
+POLISH_STARTS = 5
 
 
 def matrix_exp(m):
@@ -195,6 +204,34 @@ def _projector_pairs(theta, phi):
         pairs[:, k, 0, 1] = 0.5 * sign * (nx - 1j * ny)
         pairs[:, k, 1, 0] = 0.5 * sign * (nx + 1j * ny)
     return pairs
+
+
+def nelder_mead_search(r4):
+    """(conditional entropy, (theta, phi), evals): grid plus Nelder-Mead."""
+    from scipy.optimize import minimize  # at first use: importing oracles skips scipy
+
+    thetas = np.linspace(0.0, np.pi, GRID_N)
+    phis = np.linspace(0.0, 2.0 * np.pi, GRID_N, endpoint=False)
+    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
+    cond = _conditional_entropy(r4, tg.ravel(), pg.ravel())
+    evals = tg.size
+    best = np.argsort(cond)[:POLISH_STARTS]
+    objective = _scalar_objective(r4)
+
+    best_val = float(cond[best[0]])
+    best_x = (float(tg.ravel()[best[0]]), float(pg.ravel()[best[0]]))
+    for idx in best:
+        res = minimize(
+            objective,
+            x0=[tg.ravel()[idx], pg.ravel()[idx]],
+            method="Nelder-Mead",
+            options={"xatol": 1e-5, "fatol": 1e-8, "maxiter": 400},
+        )
+        evals += int(res.nfev)
+        if res.fun < best_val:
+            best_val = float(res.fun)
+            best_x = (float(res.x[0]), float(res.x[1]))
+    return best_val, best_x, evals
 
 
 def ergotropy_double_sum(rho, h):

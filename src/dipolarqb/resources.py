@@ -25,17 +25,18 @@
     also symmetric under theta -> pi - theta, so a coarse theta grid on
     [0, pi/2] refined by golden section finds the optimum, including the
     intermediate angles Huang, PRA 88, 014302 (2013) shows can occur.
-  - Every other state gets a 64x64 coarse grid over (theta, phi)
-    followed by Nelder-Mead polish from the five best cells; the
-    objective is smooth in the two angles, so grid-plus-polish avoids
-    local maxima without closed-form special cases.  This general route
-    is also the reference the X-state path is tested against.
+  - Every other state gets a 33x64 grid over theta in [0, pi/2] and phi
+    (the other half of the sphere repeats it), then a pattern search
+    from the five best cells on w = theta exp(i phi), smooth at the
+    pole: each round evaluates a 9x9 grid over +-1 step around every
+    start, and moves the start to a lower point or else shrinks its step
+    4x.  This route is the X-state path's reference.
 
   The objective has two evaluators, kept apart because each is the fast
   one for its caller: `_conditional_entropy` takes the grids as angle
   arrays (tens of times cheaper than the same grid point by point), and
-  `_scalar_objective` takes the refiners' single points (about ten times
-  cheaper than a one-point array call).
+  `_scalar_objective` takes golden section's single points (about ten
+  times cheaper than a one-point array call).
 """
 
 import math
@@ -46,8 +47,12 @@ import numpy as np
 from .linalg import golden_max, partial_trace, von_neumann_entropy
 from .model import SIGMA_Y
 
-GRID_N = 64
-POLISH_STARTS = 5
+GRID_THETA_N = 33
+GRID_PHI_N = 64
+REFINE_STARTS = 5
+REFINE_N = 9
+REFINE_STEP_TOL = 1e-8
+REFINE_ROUNDS = 100
 X_STATE_TOL = 1e-12
 X_THETA_N = 33
 # entries of a 4x4 X-state off the diagonal and the anti-diagonal
@@ -139,7 +144,7 @@ def _conditional_entropy(r4, theta, phi):
 
 
 def _scalar_objective(r4):
-    """Same conditional entropy as a fast scalar callable for the polish.
+    """Same conditional entropy as a fast scalar callable for refiners.
 
     M+[k,l] is a fixed linear combination of four 2x2 slices of r4, so
     the slices are lifted to plain complex numbers once and each
@@ -183,31 +188,31 @@ def _scalar_objective(r4):
 
 
 def _general_search(r4):
-    """(conditional entropy, (theta, phi), evals): grid plus Nelder-Mead."""
-    from scipy.optimize import minimize  # at first use: importing the package skips scipy
-
-    thetas = np.linspace(0.0, np.pi, GRID_N)
-    phis = np.linspace(0.0, 2.0 * np.pi, GRID_N, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    cond = _conditional_entropy(r4, tg.ravel(), pg.ravel())
-    evals = tg.size
-    best = np.argsort(cond)[:POLISH_STARTS]
-    objective = _scalar_objective(r4)
-
-    best_val = float(cond[best[0]])
-    best_x = (float(tg.ravel()[best[0]]), float(pg.ravel()[best[0]]))
-    for idx in best:
-        res = minimize(
-            objective,
-            x0=[tg.ravel()[idx], pg.ravel()[idx]],
-            method="Nelder-Mead",
-            options={"xatol": 1e-5, "fatol": 1e-8, "maxiter": 400},
-        )
-        evals += int(res.nfev)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = (float(res.x[0]), float(res.x[1]))
-    return best_val, best_x, evals
+    """(conditional entropy, (theta, phi), evals): grid plus pattern search."""
+    thetas = np.linspace(0.0, 0.5 * np.pi, GRID_THETA_N)
+    phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI_N, endpoint=False)
+    t, p = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+    cond = _conditional_entropy(r4, t, p)
+    evals = cond.size
+    best = np.argsort(cond, kind="stable")[:REFINE_STARTS]
+    w, val, step = t[best] * np.exp(1j * p[best]), cond[best], np.full(REFINE_STARTS, phis[1])
+    offsets = np.linspace(-1.0, 1.0, REFINE_N)
+    dw = (offsets[:, None] + 1j * offsets).ravel()
+    rows = np.arange(REFINE_STARTS)
+    for _ in range(REFINE_ROUNDS):
+        if np.max(step) < REFINE_STEP_TOL:
+            break
+        near = w[:, None] + step[:, None] * dw
+        local = _conditional_entropy(r4, np.abs(near), np.angle(near))  # (starts, REFINE_N**2)
+        evals += local.size
+        k = np.argmin(local, axis=1)
+        # shrink only when the centre wins, so a start can follow a long valley
+        moved = local[rows, k] < val
+        w = np.where(moved, near[rows, k], w)
+        val = np.where(moved, local[rows, k], val)
+        step = np.where(moved, step, 0.25 * step)
+    i = int(np.argmin(val))
+    return float(val[i]), (float(abs(w[i])), float(np.angle(w[i]))), evals
 
 
 def _x_state_search(r4):

@@ -17,16 +17,18 @@ from dipolarqb import (
     von_neumann_entropy,
 )
 from dipolarqb.cli import parse_config
-from dipolarqb.oracles import _projector_pairs
+from dipolarqb.dynamics import charged_state
+from dipolarqb.oracles import _projector_pairs, nelder_mead_search
 from dipolarqb.resources import (
-    GRID_N,
+    GRID_PHI_N,
+    GRID_THETA_N,
     _conditional_entropy,
     _discord,
     _general_search,
     _scalar_objective,
     _x_state_search,
 )
-from conftest import bell_state, ket00, random_density
+from conftest import bell_state, ket00, random_density, random_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -121,7 +123,7 @@ class TestDiscord:
             assert r.discord >= 0.0
             assert 0.0 <= r.optimal_direction.theta <= np.pi
             assert 0.0 <= r.optimal_direction.phi < 2 * np.pi
-            assert r.optimizer_evals >= GRID_N * GRID_N
+            assert r.optimizer_evals >= GRID_THETA_N * GRID_PHI_N
 
     def test_deterministic(self, rng):
         rho = random_density(rng)
@@ -152,10 +154,20 @@ class TestDiscord:
             quantum_discord(np.eye(4) / 4, measure="C")
 
     def test_grid_refinement_stable_on_x_states(self, monkeypatch):
-        # doubling the optimizer's start grid must not move the polished
-        # discord on the X-shaped states this model produces
+        # doubling the general search's start grid must not move the
+        # refined discord on the charging-orbit states this model
+        # produces, which are not X-states.  Samples at multiples of
+        # Omega t = pi/2 are (sx x sx) zeta (sx x sx) or zeta itself,
+        # X-states, so only the interior samples, near pi/3 and 2 pi/3, run
         import dipolarqb.resources as res
 
+        grids = []  # the size of each objective call; the first is the start grid
+
+        def spy(r4, theta, phi):
+            grids.append(np.size(theta))
+            return _conditional_entropy(r4, theta, phi)
+
+        monkeypatch.setattr(res, "_conditional_entropy", spy)
         for seed in range(5):
             gen = np.random.default_rng(seed)
             p = ModelParams(
@@ -164,12 +176,16 @@ class TestDiscord:
                 field=gen.uniform(-2, 2), temperature=gen.uniform(0.3, 3.0),
             )
             zeta = gibbs_numeric(p)
-            _, states = charge_trajectory(p, zeta, TimeGrid(0.0, np.pi, 1e-2), n_samples=3)
-            for rho in states:
-                monkeypatch.setattr(res, "GRID_N", GRID_N)
+            _, states = charge_trajectory(p, zeta, TimeGrid(0.0, np.pi, 1e-2), n_samples=4)
+            for rho in states[1:-1]:
+                monkeypatch.setattr(res, "GRID_THETA_N", GRID_THETA_N)
+                monkeypatch.setattr(res, "GRID_PHI_N", GRID_PHI_N)
                 coarse = quantum_discord(rho).discord
-                monkeypatch.setattr(res, "GRID_N", 2 * GRID_N)
+                monkeypatch.setattr(res, "GRID_THETA_N", 2 * GRID_THETA_N)
+                monkeypatch.setattr(res, "GRID_PHI_N", 2 * GRID_PHI_N)
+                grids.clear()
                 fine = quantum_discord(rho).discord
+                assert grids[0] == 4 * GRID_THETA_N * GRID_PHI_N  # the doubled grid ran
                 assert abs(coarse - fine) < 1e-5
 
 
@@ -257,6 +273,58 @@ class TestXStateDiscord:
             noisy = rho.copy()
             noisy[0, 1] = noisy[1, 0] = leak
             assert (quantum_discord(noisy).optimizer_evals < 100) == x_path
+
+
+def general_search_states():
+    """Special states, then 200 random full-rank and 200 charging-orbit ones."""
+    rng = np.random.default_rng(1717)
+    intermediate = np.diag([0.93, 0.0, 0.035, 0.035]).astype(complex)
+    intermediate[0, 3] = intermediate[3, 0] = 0.16
+    lu = random_local_unitary(rng)
+    charge_p = ModelParams(delta=1.0, epsilon=0.5)
+    special = [
+        bell_state(), lu @ bell_state() @ lu.conj().T, np.eye(4, dtype=complex) / 4, ket00(),
+        np.kron(random_density(rng, 2), random_density(rng, 2)),
+        np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex), intermediate,
+        # a minimum in a long valley: a search on (theta, phi) that
+        # shrinks its step every round stops 2.6e-8 above it
+        random_density(np.random.default_rng(2846)),
+        # a bundled charge orbit near Omega t = 3 pi / 4, minimum 0.005 rad
+        # from the pole: a search that steps theta and phi crawls there
+        charged_state(charge_p, gibbs_numeric(charge_p), 2.36),
+    ]
+    special += [random_x_state(rng) for _ in range(5)]
+    special += [gibbs_numeric(random_params(rng, box=2.0, t_lo=0.1, t_hi=3.0)) for _ in range(5)]
+    full_rank = [random_density(rng) for _ in range(200)]
+    orbit = []
+    for _ in range(200):
+        p = random_params(rng, box=2.0, t_lo=0.3, t_hi=3.0)
+        orbit.append(charged_state(p, gibbs_numeric(p), rng.uniform(0.0, np.pi / p.omega)))
+    return special + full_rank + orbit
+
+
+class TestGeneralSearch:
+    def test_never_above_nelder_mead(self):
+        # the Nelder-Mead polish from a 64x64 grid is the reference
+        for rho in general_search_states():
+            r4 = rho.reshape(2, 2, 2, 2)
+            assert _general_search(r4)[0] <= nelder_mead_search(r4)[0] + 1e-12
+
+    def test_never_above_a_dense_2d_scan(self):
+        # an oracle that shares no optimizer with the search: 401 x 800
+        # (theta, phi) points over the whole sphere
+        tg, pg = np.meshgrid(np.linspace(0.0, np.pi, 401),
+                             np.linspace(0.0, 2.0 * np.pi, 800, endpoint=False), indexing="ij")
+        states = general_search_states()[::20]
+        assert len(states) >= 20
+        for rho in states:
+            r4 = rho.reshape(2, 2, 2, 2)
+            assert _general_search(r4)[0] <= _conditional_entropy(r4, tg, pg).min() + 1e-12
+
+    def test_bitwise_deterministic(self):
+        for rho in general_search_states()[::40]:
+            r4 = rho.reshape(2, 2, 2, 2)
+            assert _general_search(r4) == _general_search(r4.copy())
 
 
 class TestOptimizerInternals:

@@ -4,7 +4,9 @@
 other perfbench scripts import names from the package's modules; a
 refactor that drops or moves one of them would otherwise only show as a
 crash of a benchmark run.  The cross-check routes live in
-`dipolarqb.oracles`, which no production module may import.
+`dipolarqb.oracles`, which no production module may import, and it is
+the only module that imports scipy: numpy is the one runtime
+dependency.
 """
 
 import ast
@@ -62,4 +64,23 @@ def test_no_production_module_imports_oracles():
     assert imports_oracles(ast.parse("from .oracles import matrix_exp"))  # the check bites
     offenders = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
                  if path.name != "oracles.py" and imports_oracles(ast.parse(path.read_text()))]
+    assert offenders == []
+
+
+def imports_scipy(tree):
+    for node in ast.walk(tree):  # function-local imports included
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "scipy" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] == "scipy":
+                return True
+    return False
+
+
+def test_only_oracles_imports_scipy():
+    assert imports_scipy(ast.parse("def f():\n    from scipy.optimize import minimize"))  # bites
+    assert imports_scipy(ast.parse("import scipy.linalg as sl"))
+    offenders = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if path.name != "oracles.py" and imports_scipy(ast.parse(path.read_text()))]
     assert offenders == []
