@@ -14,7 +14,7 @@ from dipolarqb import (
 
 p = ModelParams(delta=1.0, epsilon=0.5, dm=0.2, ksea=0.1, field=0.3, temperature=0.8)
 
-closed = gibbs_closed_form(p).matrix()
+closed = gibbs_closed_form(p)
 numeric = gibbs_numeric(p)
 print("max |closed - numeric| =", np.max(np.abs(closed - numeric)))
 print("trace =", np.trace(closed).real)

@@ -51,7 +51,6 @@ from .resources import (
     quantum_discord,
 )
 from .thermal import (
-    GibbsClosedForm,
     gibbs_closed_form,
     gibbs_numeric,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "CapacityReport",
     "ClosedFormSpectrum",
     "DiscordResult",
-    "GibbsClosedForm",
     "IntegrationAccuracyError",
     "MeasurementDirection",
     "ModelParams",

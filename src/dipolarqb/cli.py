@@ -14,15 +14,20 @@ flat ``key = value`` text files and every key has a matching CLI flag.
 File and flag values are merged as text, flags winning, and parsed once,
 so a flag also overrides a file value that would not parse.  Sweep axes
 are compact specs ``name:min:max:count[:log]`` over the model
-parameters.  CSV output uses 17 significant digits, comma separators,
-and LF endings so repeated runs are byte-identical.  ``--emit-plot``
-writes a gnuplot script next to each CSV; scripts reference the CSV,
-never embed data.
+parameters.  ``run_scenario`` expands the axes into parameter points
+and maps the scenario's row function, which returns the CSV rows of one
+point, over them.  spectrum, gibbs, dephasing and charge write one CSV
+per point (one CSV when nothing is swept); thermal-sweep and grid2d
+write one CSV whose rows lead with the axis values.  CSV output uses 17
+significant digits, comma separators, and LF endings so repeated runs
+are byte-identical.  ``--emit-plot`` writes a gnuplot script next to
+each CSV; scripts reference the CSV, never embed data.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -141,15 +146,21 @@ class Scenario:
     leading: CSV columns before the metrics; defaults: the metric columns
     written when outputs is unset; allowed: the columns outputs may name;
     keys: the RUN_KEYS it takes; samples: its default sample count;
-    run(cfg, out, jobs): writes its CSVs and returns their paths.
+    t1(p): its default end time at point p; axis: the axis swept when
+    sweep is unset.  rows(cfg, p) returns the CSV rows of parameter point
+    p: whole rows, one CSV per point, or, with axis_rows, the metrics
+    only, gathered into one CSV whose rows lead with the axis values.
     """
 
     leading: tuple
     defaults: tuple
-    run: object
+    rows: object
     keys: tuple = ()
     allowed: tuple = ()
     samples: int = None
+    t1: object = None
+    axis: AxisSpec = None
+    axis_rows: bool = False
 
 
 @dataclass
@@ -160,7 +171,7 @@ class ScenarioConfig:
     second_axis: AxisSpec = None
     outputs: tuple = None  # None means scenario default
     t0: float = None  # None: 0
-    t1: float = None  # None: scenario default (10 dephasing, pi/omega charge)
+    t1: float = None  # None: the scenario's t1(p)
     dt: float = None  # None: 1e-3
     samples: int = None
     out_path: str = None
@@ -176,23 +187,13 @@ class ScenarioConfig:
     def resolved_header(self):
         return SCENARIOS[self.scenario].leading + self.resolved_outputs()
 
-    def resolved_grid(self, params=None):
-        # charge default covers one period, so it tracks the swept omega
-        p = params if params is not None else self.params
-        t1 = self.t1
-        if t1 is None and self.scenario == "charge":
-            if p.omega == 0.0:
-                raise ValueError("charge with omega = 0 has no period pi/omega; set t1")
-            t1 = np.pi / p.omega
-        elif t1 is None:
-            t1 = 10.0
+    def resolved_grid(self, p):
+        t1 = SCENARIOS[self.scenario].t1(p) if self.t1 is None else self.t1
         t0 = 0.0 if self.t0 is None else self.t0
         return TimeGrid(t0=t0, t1=t1, dt=1e-3 if self.dt is None else self.dt)
 
     def resolved_samples(self):
-        if self.samples is not None:
-            return self.samples
-        return SCENARIOS[self.scenario].samples
+        return SCENARIOS[self.scenario].samples if self.samples is None else self.samples
 
     def resolved_out(self):
         return self.out_path if self.out_path else f"{self.scenario}.csv"
@@ -216,6 +217,8 @@ def validate_config(cfg):
             raise ConfigError("grid2d axes must sweep different parameters")
     if cfg.scenario == "thermal-sweep" and cfg.sweep and cfg.sweep.name != "temperature":
         raise ConfigError("thermal-sweep's sweep axis must be temperature")
+    if cfg.outputs == ():
+        raise ConfigError("outputs names no column")
     bad = [c for c in cfg.outputs or () if c not in sc.allowed]
     if bad:
         raise ConfigError(
@@ -324,11 +327,6 @@ def write_csv(path, header, rows):
         f.write("\n".join(lines) + "\n")
 
 
-def _sweep_point_path(base, name, idx, value):
-    stem, ext = os.path.splitext(base)
-    return f"{stem}_{name}{idx:02d}_{value:.12g}{ext}"
-
-
 # ---------------------------------------------------------------- metrics
 
 _STATE_METRICS = {
@@ -338,50 +336,61 @@ _STATE_METRICS = {
 }
 
 
-def _ket00_density():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
+def _spectrum_rows(cfg, p):
+    numeric, _ = hermitian_eigen(build_hamiltonian(p))
+    closed = np.sort(closed_form_spectrum(p).nu)
+    return [[k + 1, closed[k], numeric[k], abs(closed[k] - numeric[k])] for k in range(4)]
 
 
-def _dephasing_rows(task):
-    """Worker: one dephasing trajectory -> list of CSV rows."""
-    params, grid, samples, outputs = task
-    times, states = evolve_lindblad(params, _ket00_density(), grid, n_samples=samples)
-    rows = []
-    for t, rho in zip(times, states):
-        rows.append([t] + [_STATE_METRICS[name](rho) for name in outputs])
-    return rows
+def _gibbs_rows(cfg, p):
+    closed, numeric = gibbs_closed_form(p), gibbs_numeric(p)
+    return [[i, j, c.real, c.imag, n.real, n.imag, abs(c - n)]
+            for (i, j), c, n in zip(np.ndindex(4, 4), closed.flat, numeric.flat)]
 
 
-def _thermal_row(task):
-    """Worker: Gibbs-state measures at one temperature."""
-    params, outputs = task
-    rho = gibbs_numeric(params)
-    return [params.temperature] + [_STATE_METRICS[name](rho) for name in outputs]
+def _dephasing_rows(cfg, p):
+    """One dephasing trajectory from |00><00|."""
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[0, 0] = 1.0
+    times, states = evolve_lindblad(p, rho0, cfg.resolved_grid(p),
+                                    n_samples=cfg.resolved_samples())
+    outputs = cfg.resolved_outputs()
+    return [[t] + [_STATE_METRICS[name](rho) for name in outputs]
+            for t, rho in zip(times, states)]
 
 
-def _charge_rows(task):
-    """Worker: one unitary charging run -> list of CSV rows."""
-    params, grid, samples, outputs = task
-    zeta = gibbs_numeric(params)
-    times, states = charge_trajectory(params, zeta, grid, n_samples=samples)
-    series = work_and_power(states, times, params)
-    cap = capacity(params)
-    columns = dict(series.columns)
+def _thermal_rows(cfg, p):
+    """Gibbs-state measures at one temperature; the axis supplies T."""
+    rho = gibbs_numeric(p)
+    return [[_STATE_METRICS[name](rho) for name in cfg.resolved_outputs()]]
+
+
+def _charge_rows(cfg, p):
+    """One unitary charging run from the Gibbs state."""
+    outputs = cfg.resolved_outputs()
+    times, states = charge_trajectory(p, gibbs_numeric(p), cfg.resolved_grid(p),
+                                      n_samples=cfg.resolved_samples())
+    columns = dict(work_and_power(states, times, p).columns)
+    cap = capacity(p)
     columns["capacity_basis"] = [cap.capacity_basis] * len(times)
     columns["capacity_unitary"] = [cap.capacity_unitary] * len(times)
     if "discord" in outputs:
         columns["discord"] = [quantum_discord(rho).discord for rho in states]
-    return [[params.omega * t] + [columns[name][i] for name in outputs]
+    return [[p.omega * t] + [columns[name][i] for name in outputs]
             for i, t in enumerate(times)]
 
 
-def _grid_point_row(task):
-    """Worker: peak orbit metrics at one 2-D grid point."""
-    params, xv, yv = task
-    peaks = orbit_peaks(params)
-    return [xv, yv, peaks.capacity, peaks.coherence_max, peaks.ergotropy_max, peaks.power_max]
+def _grid_point_rows(cfg, p):
+    """Peak orbit metrics at one 2-D grid point; the axes supply x and y."""
+    peaks = orbit_peaks(p)
+    return [[getattr(peaks, name) for name in cfg.resolved_outputs()]]
+
+
+def _one_period(p):
+    """charge's default end time: one charging period pi/omega."""
+    if p.omega == 0.0:
+        raise ValueError("charge with omega = 0 has no period pi/omega; set t1")
+    return np.pi / p.omega
 
 
 def _run_tasks(worker, tasks, jobs):
@@ -402,164 +411,77 @@ def _run_tasks(worker, tasks, jobs):
 
 # ---------------------------------------------------------------- scenarios
 
-def _run_spectrum(cfg, out, jobs):
-    p = cfg.params
-    h = build_hamiltonian(p)
-    numeric, _ = hermitian_eigen(h)
-    closed = np.sort(closed_form_spectrum(p).nu)
-    rows = [
-        [k + 1, closed[k], numeric[k], abs(closed[k] - numeric[k])]
-        for k in range(4)
-    ]
-    write_csv(out, cfg.resolved_header(), rows)
-    return [out]
-
-
-def _run_gibbs(cfg, out, jobs):
-    p = cfg.params
-    closed = gibbs_closed_form(p).matrix()
-    numeric = gibbs_numeric(p)
-    rows = []
-    for i in range(4):
-        for j in range(4):
-            c, n = closed[i, j], numeric[i, j]
-            rows.append([i, j, c.real, c.imag, n.real, n.imag, abs(c - n)])
-    write_csv(out, cfg.resolved_header(), rows)
-    return [out]
-
-
-def _swept_params(cfg):
-    """(suffix-or-None, params) runs for scenarios swept per point."""
-    if cfg.sweep is None:
-        return [(None, cfg.params)]
-    runs = []
-    for i, v in enumerate(cfg.sweep.values()):
-        runs.append(((cfg.sweep.name, i, float(v)), cfg.params.replace(**{cfg.sweep.name: float(v)})))
-    return runs
-
-
-def _run_per_point(cfg, out, jobs, worker):
-    samples = cfg.resolved_samples()
-    outputs = cfg.resolved_outputs()
-    runs = _swept_params(cfg)
-    tasks = [(p, cfg.resolved_grid(p), samples, outputs) for _, p in runs]
-    results = _run_tasks(worker, tasks, jobs)
-    paths = []
-    for (suffix, _), rows in zip(runs, results):
-        path = out if suffix is None else _sweep_point_path(out, *suffix)
-        write_csv(path, cfg.resolved_header(), rows)
-        paths.append(path)
-    return paths
-
-
-def _run_thermal_sweep(cfg, out, jobs):
-    axis = cfg.sweep or AxisSpec("temperature", 0.05, 5.0, 200)
-    outputs = cfg.resolved_outputs()
-    tasks = [(cfg.params.replace(temperature=float(tv)), outputs) for tv in axis.values()]
-    rows = _run_tasks(_thermal_row, tasks, jobs)
-    write_csv(out, cfg.resolved_header(), rows)
-    return [out]
-
-
-def _run_grid2d(cfg, out, jobs):
-    xs = cfg.sweep.values()
-    ys = cfg.second_axis.values()
-    tasks = []
-    for xv in xs:
-        for yv in ys:
-            p = cfg.params.replace(**{cfg.sweep.name: float(xv), cfg.second_axis.name: float(yv)})
-            tasks.append((p, float(xv), float(yv)))
-    rows = _run_tasks(_grid_point_row, tasks, jobs)
-    write_csv(out, cfg.resolved_header(), rows)
-    return [out]
-
-
 _STATE_COLUMNS = ("concurrence", "discord", "coherence")
 _TIME_KEYS = ("t0", "t1", "dt", "samples", "sweep", "outputs")
 
-SCENARIOS = {  # name: Scenario(leading, defaults, run, keys, allowed, samples)
+SCENARIOS = {
     "spectrum": Scenario(
-        ("level",), ("energy_closed", "energy_numeric", "abs_deviation"), _run_spectrum),
+        ("level",), ("energy_closed", "energy_numeric", "abs_deviation"), _spectrum_rows),
     "gibbs": Scenario(
         ("row", "col"), ("closed_re", "closed_im", "numeric_re", "numeric_im", "abs_deviation"),
-        _run_gibbs),
+        _gibbs_rows),
     "dephasing": Scenario(
-        ("t",), _STATE_COLUMNS, partial(_run_per_point, worker=_dephasing_rows),
-        _TIME_KEYS, _STATE_COLUMNS, 201),
+        ("t",), _STATE_COLUMNS, _dephasing_rows, _TIME_KEYS, _STATE_COLUMNS, 201,
+        t1=lambda p: 10.0),
     "thermal-sweep": Scenario(
-        ("T",), _STATE_COLUMNS, _run_thermal_sweep, ("sweep", "outputs"), _STATE_COLUMNS),
+        ("T",), _STATE_COLUMNS, _thermal_rows, ("sweep", "outputs"), _STATE_COLUMNS,
+        axis=AxisSpec("temperature", 0.05, 5.0, 200), axis_rows=True),
     "charge": Scenario(
         ("omega_t",),
         ("ergotropy", "power_instant", "capacity_basis", "capacity_unitary", "coherence"),
-        partial(_run_per_point, worker=_charge_rows),
+        _charge_rows,
         _TIME_KEYS + ("with_discord",),
         ("ergotropy", "work", "power_instant", "power_avg", "efficiency",
          "capacity_basis", "capacity_unitary", "coherence", "discord"),
-        501),
+        501, t1=_one_period),
     "grid2d": Scenario(
-        ("x", "y"), ("capacity", "coherence_max", "ergotropy_max", "power_max"), _run_grid2d,
-        ("sweep", "sweep2")),
+        ("x", "y"), ("capacity", "coherence_max", "ergotropy_max", "power_max"),
+        _grid_point_rows, ("sweep", "sweep2"), axis_rows=True),
 }
 
 
 def run_scenario(cfg, jobs=1):
     """Execute a validated config; returns the list of CSV paths written."""
     validate_config(cfg)
-    return SCENARIOS[cfg.scenario].run(cfg, cfg.resolved_out(), jobs)
+    sc = SCENARIOS[cfg.scenario]
+    axes = [a for a in (cfg.sweep or sc.axis, cfg.second_axis) if a is not None]
+    grid = list(itertools.product(*([float(v) for v in a.values()] for a in axes)))
+    points = [cfg.params.replace(**{a.name: v for a, v in zip(axes, values)}) for values in grid]
+    results = _run_tasks(partial(sc.rows, cfg), points, jobs)
+    out, header = cfg.resolved_out(), cfg.resolved_header()
+    if sc.axis_rows:
+        write_csv(out, header, [list(values) + row
+                                for values, rows in zip(grid, results) for row in rows])
+        return [out]
+    paths = []
+    stem, ext = os.path.splitext(out)
+    for i, (values, rows) in enumerate(zip(grid, results)):
+        path = f"{stem}_{axes[0].name}{i:02d}_{values[0]:.12g}{ext}" if axes else out
+        write_csv(path, header, rows)
+        paths.append(path)
+    return paths
 
 
 # ---------------------------------------------------------------- plotting
 
-def emit_plot_script(csv_path, scenario):
-    """Write a gnuplot script next to the CSV; returns the script path."""
-    sc = SCENARIOS.get(scenario)
-    if sc is None:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    try:
-        with open(csv_path, "r", encoding="ascii") as f:
-            header = f.readline().strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {csv_path}: {exc}") from None
-    found = header.split(",") if header else []
+def emit_plot_script(csv_path, cfg):
+    """Write a gnuplot script next to a CSV that cfg's run wrote; returns its path."""
+    sc = SCENARIOS[cfg.scenario]
+    header = cfg.resolved_header()
+    metrics = header[len(sc.leading):]
     script = os.path.splitext(csv_path)[0] + ".gp"
     csv_name = os.path.basename(csv_path)
-
-    heatmap = "sweep2" in sc.keys  # a 2-D grid: one heatmap per metric
-    expected = sc.leading + sc.defaults
-    missing = [c for c in expected if c not in found]
-    if heatmap:
-        metrics = [] if missing else sc.defaults
-    else:  # x in the first column, any known metric after it
-        metrics = [c for c in found[1:] if c in sc.defaults + sc.allowed]
-        metrics = metrics if found[:1] == [sc.leading[0]] else []
-    if not metrics:
-        raise ConfigError(
-            f"{csv_path}: missing columns {', '.join(missing) or header}; "
-            f"expected {', '.join(expected)}, found {', '.join(found) or '(none)'}"
-        )
-    if heatmap:
-        lines = [
-            "set datafile separator ','",
-            "set view map",
-            "set multiplot layout 2,2",
-        ]
+    lines = ["set datafile separator ','"]
+    if "sweep2" in sc.keys:  # a 2-D grid: one heatmap per metric
+        lines += ["set view map", "set multiplot layout 2,2"]
         for name in metrics:
-            col = found.index(name) + 1
-            lines += [
-                f"set title '{name}'",
-                f"splot '{csv_name}' using 1:2:{col} with image notitle",
-            ]
+            lines += [f"set title '{name}'",
+                      f"splot '{csv_name}' using 1:2:{header.index(name) + 1} with image notitle"]
         lines.append("unset multiplot")
     else:
-        lines = [
-            "set datafile separator ','",
-            "set key outside",
-            f"set xlabel '{sc.leading[0]}'",
-        ]
-        terms = [
-            f"'{csv_name}' using 1:{found.index(m) + 1} with lines title '{m}'"
-            for m in metrics
-        ]
+        lines += ["set key outside", f"set xlabel '{sc.leading[0]}'"]
+        terms = [f"'{csv_name}' using 1:{header.index(m) + 1} with lines title '{m}'"
+                 for m in metrics]
         lines.append("plot " + ", \\\n     ".join(terms))
     with open(script, "w", encoding="ascii", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
@@ -633,7 +555,7 @@ def main(argv=None):
         paths = run_scenario(cfg, jobs=jobs)
         if args.emit_plot:
             for path in paths:
-                emit_plot_script(path, cfg.scenario)
+                emit_plot_script(path, cfg)
     except ConfigError as exc:
         print(f"dipolar-qb: config error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,6 @@ The eigensystem diagnostics (`gibbs_spectrum`) live in `oracles`.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,40 +53,14 @@ def gibbs_numeric(p):
     return 0.5 * (rho + rho.conj().T)
 
 
-@dataclass
-class GibbsClosedForm:
-    """Analytic X-state entries plus the scaled arguments they used."""
-
-    z11: float
-    z14: complex
-    z22: float
-    z23: complex
-    z44: float
-    j_arg: float
-    s_arg: float
-
-    def matrix(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = self.z11
-        m[1, 1] = m[2, 2] = self.z22
-        m[3, 3] = self.z44
-        m[0, 3] = self.z14
-        m[3, 0] = np.conj(self.z14)
-        m[1, 2] = self.z23
-        m[2, 1] = np.conj(self.z23)
-        return m
-
-
 class _ThermalTerms(NamedTuple):
     """Exponent-shifted building blocks shared by every thermal closed form.
 
     With W = exp(4 delta/(3T)), S = 2 kappa1/(3T), J = 2 kappa2/T and m
-    the largest of a = (log W + S, log W - S, J, -J), every quantity but
-    the arguments carries the factor e^{-m}, which cancels in each ratio.
+    the largest of a = (log W + S, log W - S, J, -J), every quantity
+    carries the factor e^{-m}, which cancels in each ratio.
     """
 
-    j_arg: float
-    s_arg: float
     e: tuple  # exp(a - m): W e^S, W e^-S, e^J, e^-J
     twod0: float  # 2 D0 = 2 (W cosh S + cosh J)
     w_cosh_s: float
@@ -120,12 +93,12 @@ def _thermal_terms(p):
         ws_over_k1 = (2.0 / (3.0 * T)) * _sinhc(S) * math.exp(w_arg - m)
     else:
         ws_over_k1 = 0.5 * (e1 - e2) / k1
-    return _ThermalTerms(J, S, e, e1 + e2 + e3 + e4, 0.5 * (e1 + e2), 0.5 * (e3 + e4),
+    return _ThermalTerms(e, e1 + e2 + e3 + e4, 0.5 * (e1 + e2), 0.5 * (e3 + e4),
                          ws_over_k1, sinhj_over_k2)
 
 
 def gibbs_closed_form(p):
-    """Analytic Gibbs entries, overflow-safe for any T > 0."""
+    """The analytic Gibbs state as a 4x4 matrix, overflow-safe for any T > 0."""
     t = _thermal_terms(p)
     b_ratio = p.field * t.sinhj_over_k2
     z11 = (t.cosh_j - b_ratio) / t.twod0
@@ -133,4 +106,9 @@ def gibbs_closed_form(p):
     z22 = t.w_cosh_s / t.twod0
     z14 = 1j * (p.ksea + 1j * p.epsilon) * t.sinhj_over_k2 / t.twod0
     z23 = (p.delta - 3j * p.dm) * t.ws_over_k1 / t.twod0
-    return GibbsClosedForm(z11=float(z11), z14=complex(z14), z22=float(z22), z23=complex(z23), z44=float(z44), j_arg=t.j_arg, s_arg=t.s_arg)
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[3, 3] = z11, z44
+    m[1, 1] = m[2, 2] = z22
+    m[0, 3], m[3, 0] = z14, np.conj(z14)
+    m[1, 2], m[2, 1] = z23, np.conj(z23)
+    return m

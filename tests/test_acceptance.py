@@ -88,7 +88,7 @@ def test_criterion_02_gibbs_oracle():
     for k in range(1000):
         p = ModelParams(*rng.uniform(-10.0, 10.0, 5),
                         temperature=rng.uniform(0.05, 10.0))
-        dev_mat = np.abs(gibbs_closed_form(p).matrix() - gibbs_numeric(p))
+        dev_mat = np.abs(gibbs_closed_form(p) - gibbs_numeric(p))
         dev = float(dev_mat.max())
         worst = max(worst, dev)
         if dev > 1e-10:

@@ -306,7 +306,7 @@ class TestChargedCoherence:
     def test_initial_value_from_closed_entries(self):
         p = ModelParams(delta=1.0, epsilon=0.4, dm=0.3, ksea=0.2, field=0.5)
         z = gibbs_closed_form(p)
-        expected = 2.0 * (abs(z.z14) + abs(z.z23))
+        expected = 2.0 * (abs(z[0, 3]) + abs(z[1, 2]))
         zeta = gibbs_numeric(p)
         assert abs(l1_coherence(zeta) - expected) < 1e-12
 

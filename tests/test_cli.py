@@ -178,6 +178,8 @@ class TestValidateConfig:
             validate_config(ScenarioConfig(scenario="charge", outputs=("purity",)))
         with pytest.raises(ConfigError, match="outputs names coherence more than once"):
             validate_config(ScenarioConfig(scenario="charge", outputs=("coherence", "coherence")))
+        with pytest.raises(ConfigError, match="outputs names no column"):
+            validate_config(ScenarioConfig(scenario="charge", outputs=()))
 
     def test_samples_floor(self):
         with pytest.raises(ConfigError, match="at least 2"):
@@ -312,45 +314,45 @@ class TestRunScenario:
         assert body.shape == (4, 6)
         assert np.all(body[:, 2] >= body[:, 4] - 1e-9)  # capacity bounds peak ergotropy
 
+    @pytest.mark.parametrize("scenario", ["thermal-sweep", "dephasing", "charge"])
+    def test_parallel_matches_serial(self, tmp_path, scenario):
+        # the other layouts (grid2d is above), mapped over a real two-worker
+        # pool, write the same files and bytes as inline
+        keys = {
+            "thermal-sweep": dict(sweep=AxisSpec("temperature", 0.5, 2.0, 3)),
+            "dephasing": dict(sweep=AxisSpec("gamma", 0.1, 0.3, 3), t1=0.3, dt=1e-2, samples=4),
+            "charge": dict(sweep=AxisSpec("field", 0.0, 1.0, 3), dt=5e-2, samples=3),
+        }[scenario]
+        written = []
+        for jobs in (1, 2):
+            out = tmp_path / str(jobs) / "r.csv"
+            cfg = ScenarioConfig(scenario=scenario, params=ModelParams(delta=1.0, epsilon=0.3),
+                                 out_path=str(out), **keys)
+            paths = run_scenario(cfg, jobs=jobs)
+            assert sorted(os.listdir(out.parent)) == sorted(os.path.basename(p) for p in paths)
+            written.append({os.path.basename(p): Path(p).read_bytes() for p in paths})
+        assert written[0] == written[1]
+
 
 class TestEmitPlotScript:
-    def run_spectrum(self, tmp_path):
-        out = str(tmp_path / "s.csv")
-        run_scenario(ScenarioConfig(scenario="spectrum", params=ModelParams(delta=1.0),
-                                    out_path=out))
-        return out
-
     def test_line_plot(self, tmp_path):
-        out = self.run_spectrum(tmp_path)
-        script = emit_plot_script(out, "spectrum")
+        out = str(tmp_path / "s.csv")
+        cfg = ScenarioConfig(scenario="spectrum", params=ModelParams(delta=1.0), out_path=out)
+        script = emit_plot_script(out, cfg)
         assert script.endswith(".gp")
         text = Path(script).read_text()
         assert "plot " in text and "with lines" in text
-        assert "s.csv" in text and "energy_closed" in text
+        assert "s.csv" in text and "using 1:2 with lines title 'energy_closed'" in text
 
     def test_grid2d_heatmap(self, tmp_path):
         out = str(tmp_path / "g.csv")
-        run_scenario(ScenarioConfig(scenario="grid2d", params=ModelParams(temperature=1.0),
-                                    sweep=AxisSpec("delta", 0.5, 1.0, 2),
-                                    second_axis=AxisSpec("epsilon", 0.1, 0.5, 2),
-                                    out_path=out))
-        text = Path(emit_plot_script(out, "grid2d")).read_text()
+        assert main(["grid2d", "--temperature", "1", "--sweep", "delta:0.5:1:2",
+                     "--sweep2", "epsilon:0.1:0.5:2", "--jobs", "1", "--emit-plot",
+                     "--out", out]) == 0
+        text = (tmp_path / "g.gp").read_text()
         assert "set view map" in text
         assert text.count("splot") == 4
-
-    def test_missing_columns_reported(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("foo,bar\n1,2\n")
-        with pytest.raises(ConfigError, match="expected"):
-            emit_plot_script(str(bad), "dephasing")
-
-    def test_unreadable_csv(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            emit_plot_script(str(tmp_path / "absent.csv"), "charge")
-
-    def test_unknown_scenario(self):
-        with pytest.raises(ConfigError, match="unknown scenario"):
-            emit_plot_script("x.csv", "warp")
+        assert "using 1:2:3 with image" in text and "using 1:2:6 with image" in text
 
 
 class TestMain:
@@ -442,6 +444,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_empty_outputs_writes_nothing(self, tmp_path, capsys, source):
+        out = tmp_path / "run" / "th.csv"
+        argv = ["thermal-sweep", "--sweep", "temperature:1:2:2", "--emit-plot", "--jobs", "1",
+                "--out", str(out)]
+        if source == "flag":
+            argv += ["--outputs", ","]
+        else:
+            cfg = tmp_path / "th.cfg"
+            cfg.write_text("scenario = thermal-sweep\noutputs =\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error: outputs names no column" in err
+        assert not out.parent.exists()
 
     def test_bundled_charge_run_ends_on_one_period(self, tmp_path, capsys):
         out = str(tmp_path / "c.csv")

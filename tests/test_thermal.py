@@ -28,7 +28,7 @@ class TestGibbsNumeric:
 
     def test_matches_closed_form_example(self):
         p = ModelParams(delta=1.0, epsilon=0.5, field=0.1, temperature=0.5)
-        closed = gibbs_closed_form(p).matrix()
+        closed = gibbs_closed_form(p)
         assert np.max(np.abs(gibbs_numeric(p) - closed)) < 1e-10
 
     def test_valid_state(self, rng):
@@ -50,48 +50,41 @@ class TestGibbsNumeric:
         p = ModelParams(delta=8.0, epsilon=3.0, dm=2.0, field=4.0, temperature=0.02)
         z = gibbs_numeric(p)
         assert np.all(np.isfinite(z.view(float)))
-        closed = gibbs_closed_form(p).matrix()
+        closed = gibbs_closed_form(p)
         assert np.max(np.abs(z - closed)) < 1e-10
 
 
 class TestGibbsClosedForm:
     def test_x_pattern_and_normalization(self, rng):
         for _ in range(100):
-            form = gibbs_closed_form(random_params(rng))
-            assert abs(form.z11 + 2 * form.z22 + form.z44 - 1.0) < 1e-10
-            m = form.matrix()
+            m = gibbs_closed_form(random_params(rng))
+            assert abs(m[0, 0] + 2 * m[1, 1] + m[3, 3] - 1.0) < 1e-10
+            assert m[1, 1] == m[2, 2]
             for (i, j) in ((0, 1), (0, 2), (1, 3), (2, 3)):
                 assert m[i, j] == 0.0 and m[j, i] == 0.0
             assert np.max(np.abs(m - m.conj().T)) == 0.0
 
     def test_corner_coherence_vanishes(self):
         # numerator of the (1,4) entry is proportional to G + i eps
-        form = gibbs_closed_form(ModelParams(delta=1.0, dm=0.4, temperature=0.7))
-        assert form.z14 == 0.0
+        m = gibbs_closed_form(ModelParams(delta=1.0, dm=0.4, temperature=0.7))
+        assert m[0, 3] == 0.0
 
     def test_inner_coherence_limit(self):
         # D = delta = 0 sends the (2,3) entry through its kappa1 -> 0 limit
-        form = gibbs_closed_form(ModelParams(epsilon=0.5, ksea=0.2, field=0.3))
-        assert abs(form.z23) < 1e-15
-
-    def test_arguments_recorded(self):
-        p = ModelParams(delta=1.0, epsilon=0.5, dm=0.3, ksea=0.2, field=0.4, temperature=2.0)
-        form = gibbs_closed_form(p)
-        assert abs(form.j_arg - 2.0 * p.kappa2() / 2.0) < 1e-14
-        assert abs(form.s_arg - 2.0 * p.kappa1() / 6.0) < 1e-14
+        m = gibbs_closed_form(ModelParams(epsilon=0.5, ksea=0.2, field=0.3))
+        assert abs(m[1, 2]) < 1e-15
 
     def test_entrywise_against_numeric(self, rng):
         worst = 0.0
         for _ in range(300):
             p = random_params(rng)
-            dev = np.max(np.abs(gibbs_closed_form(p).matrix() - gibbs_numeric(p)))
+            dev = np.max(np.abs(gibbs_closed_form(p) - gibbs_numeric(p)))
             worst = max(worst, dev)
         assert worst < 1e-10
 
     def test_diagonal_entries_are_real_floats(self, rng):
-        form = gibbs_closed_form(random_params(rng))
-        for v in (form.z11, form.z22, form.z44):
-            assert isinstance(v, float)
+        m = gibbs_closed_form(random_params(rng))
+        assert np.all(m.diagonal().imag == 0.0)
 
 
 class TestGibbsSpectrum:
@@ -158,5 +151,5 @@ class TestThermalInvariants:
 def test_closed_form_matches_numeric_property(seed):
     rng = np.random.default_rng(seed)
     p = random_params(rng)
-    dev = np.max(np.abs(gibbs_closed_form(p).matrix() - gibbs_numeric(p)))
+    dev = np.max(np.abs(gibbs_closed_form(p) - gibbs_numeric(p)))
     assert dev < 1e-10
