@@ -375,7 +375,7 @@ def _charge_rows(cfg, p):
     columns["capacity_basis"] = [cap.capacity_basis] * len(times)
     columns["capacity_unitary"] = [cap.capacity_unitary] * len(times)
     if "discord" in outputs:
-        columns["discord"] = [quantum_discord(rho).discord for rho in states]
+        columns["discord"] = quantum_discord(states).discord.tolist()
     return [[p.omega * t] + [columns[name][i] for name in outputs]
             for i, t in enumerate(times)]
 

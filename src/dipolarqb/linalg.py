@@ -5,7 +5,9 @@ helpers here add the validation semantics the rest of the package relies
 on: Hermiticity checks that report the worst offending entry, an
 eigendecomposition with deterministic ordering that returns
 (values, vectors) as numpy's eigh does, partial traces, the von Neumann
-entropy in bits, and the one 1-D refiner (golden section).
+entropy in bits, and the one 1-D refiner (golden section).  The
+Hermiticity defect, partial traces and entropies also take (..., n, n)
+stacks.
 
 Entropy eigenvalues in [-1e-10, 0) are treated as round-off and clipped
 to zero; anything more negative is rejected as a genuinely invalid
@@ -21,9 +23,9 @@ CLIP_TOL = 1e-10
 
 
 def hermiticity_defect(m):
-    """Return max_ij |m[i,j] - conj(m[j,i])|."""
+    """Return max_ij |m[i,j] - conj(m[j,i])|, the largest over a stack."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
 
 
 def require_hermitian(m, tol=HERM_TOL, name="matrix"):
@@ -65,17 +67,18 @@ def partial_trace(rho, keep="A"):
 
     Parameters
     ----------
-    rho : 4x4 array in the product basis |00>,|01>,|10>,|11>.
+    rho : 4x4 array in the product basis |00>,|01>,|10>,|11>, or a
+        (..., 4, 4) stack of them.
     keep : "A" keeps the first tensor factor, "B" the second.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"partial_trace expects a 4x4 matrix, got {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"partial_trace expects 4x4 matrices, got {rho.shape}")
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if keep == "A":
-        return np.einsum("ikjk->ij", r)
+        return np.einsum("...ikjk->...ij", r)
     if keep == "B":
-        return np.einsum("kikj->ij", r)
+        return np.einsum("...kikj->...ij", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -83,19 +86,21 @@ def von_neumann_entropy(rho):
     """S(rho) = -Tr[rho log2 rho] in bits.
 
     Requires unit trace within 1e-8 and eigenvalues >= -1e-10; small
-    negative eigenvalues are clipped to zero, larger ones raise.
+    negative eigenvalues are clipped to zero, larger ones raise.  A
+    (..., n, n) stack gives an array of the per-state values.
     """
     rho = np.asarray(rho, dtype=complex)
     require_hermitian(rho, name="density matrix")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond 1e-8")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    worst = float(tr.flat[np.argmax(np.abs(tr - 1.0))])
+    if abs(worst - 1.0) > 1e-8:
+        raise ValueError(f"density matrix trace {worst!r} deviates from 1 beyond 1e-8")
     w = np.linalg.eigvalsh(rho)
     if w.min() < -CLIP_TOL:
         raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below -1e-10")
     w = np.clip(w, 0.0, None)
-    nz = w[w > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+    out = -np.sum(w * np.log2(np.where(w > 0.0, w, 1.0)), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def golden_max(f, lo, hi, tol):

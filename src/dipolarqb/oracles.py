@@ -206,17 +206,21 @@ def _projector_pairs(theta, phi):
     return pairs
 
 
-def nelder_mead_search(r4):
-    """(conditional entropy, (theta, phi), evals): grid plus Nelder-Mead."""
+def nelder_mead_search(rho):
+    """(conditional entropy, (theta, phi), evals) of one state: grid plus Nelder-Mead.
+
+    rho is 4x4, or reshaped to (2, 2, 2, 2) as [a, b, a', b'].
+    """
     from scipy.optimize import minimize  # at first use: importing oracles skips scipy
 
+    rho = np.reshape(rho, (4, 4))
     thetas = np.linspace(0.0, np.pi, GRID_N)
     phis = np.linspace(0.0, 2.0 * np.pi, GRID_N, endpoint=False)
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    cond = _conditional_entropy(r4, tg.ravel(), pg.ravel())
+    cond = _conditional_entropy(rho, (tg * np.exp(1j * pg)).ravel())
     evals = tg.size
     best = np.argsort(cond)[:POLISH_STARTS]
-    objective = _scalar_objective(r4)
+    objective = _scalar_objective(rho)
 
     best_val = float(cond[best[0]])
     best_x = (float(tg.ravel()[best[0]]), float(pg.ravel()[best[0]]))

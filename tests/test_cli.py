@@ -12,12 +12,21 @@ try:
 except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
     import tomli as tomllib
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dipolarqb import ModelParams
+from dipolarqb import (
+    ModelParams,
+    charge_trajectory,
+    gibbs_numeric,
+    partial_trace,
+    quantum_discord,
+    von_neumann_entropy,
+)
 from dipolarqb.cli import (
     PARAM_KEYS,
     SCENARIOS,
@@ -36,6 +45,7 @@ from dipolarqb.cli import (
     write_csv,
 )
 from dipolarqb.cli import _config_from_args
+from dipolarqb.oracles import nelder_mead_search
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -274,6 +284,48 @@ class TestRunScenario:
         run_scenario(cfg)
         header, _ = read_table(out)
         assert header[-1] == "discord"
+
+    def test_charge_discord_column_matches_per_state_routes(self, tmp_path):
+        # the column comes from one stacked call; each value must equal the
+        # one-state call and sit on the Nelder-Mead reference
+        path = CONFIG_DIR / "charge_delta1.cfg"
+        out = str(tmp_path / "cd.csv")
+        assert main(["charge", "--config", str(path), "--with-discord", "--samples", "41",
+                     "--jobs", "1", "--out", out]) == 0
+        header, body = read_table(out)
+        cfg = replace(parse_config(path.read_text()), samples=41)
+        p = cfg.params
+        times, states = charge_trajectory(p, gibbs_numeric(p), cfg.resolved_grid(p), n_samples=41)
+        assert np.array_equal(body[:, 0], p.omega * times)
+        column = body[:, header.index("discord")]
+        single = np.array([quantum_discord(rho).discord for rho in states])
+        assert np.max(np.abs(column - single)) <= 1e-12
+        for i in (7, 13, 26):  # interior samples are not X-states
+            rho = states[i]
+            assert quantum_discord(rho).optimizer_evals > 100  # the general search ran
+            nelder_mead = (von_neumann_entropy(partial_trace(rho, "A")) - von_neumann_entropy(rho)
+                           + nelder_mead_search(rho)[0])
+            assert abs(column[i] - nelder_mead) <= 1e-9
+
+    def test_charge_discord_search_runs_in_chunks(self, tmp_path, monkeypatch):
+        # the peak memory of a search is set by its largest evaluator call
+        import dipolarqb.resources as res
+
+        evaluator, points = res._conditional_entropy, []
+
+        def spy(rho, w):
+            points.append(np.broadcast(rho[..., 0, :1], w).size)
+            return evaluator(rho, w)
+
+        monkeypatch.setattr(res, "_conditional_entropy", spy)
+        out = str(tmp_path / "cd.csv")
+        assert main(["charge", "--config", str(CONFIG_DIR / "charge_delta1.cfg"), "--with-discord",
+                     "--jobs", "1", "--out", out]) == 0
+        assert len(read_table(out)[1]) > 400  # one orbit state per row
+        round_points = res.REFINE_STARTS * res.REFINE_N ** 2
+        chunk_points = max(res.GRID_THETA_N * res.GRID_PHI_N, res.SEARCH_CHUNK * round_points)
+        assert max(points) <= chunk_points
+        assert max(points) > round_points  # states shared the rounds
 
     def test_sweep_writes_suffixed_files(self, tmp_path):
         out = str(tmp_path / "c.csv")

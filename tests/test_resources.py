@@ -22,6 +22,7 @@ from dipolarqb.oracles import _projector_pairs, nelder_mead_search
 from dipolarqb.resources import (
     GRID_PHI_N,
     GRID_THETA_N,
+    SEARCH_CHUNK,
     _conditional_entropy,
     _discord,
     _general_search,
@@ -163,9 +164,9 @@ class TestDiscord:
 
         grids = []  # the size of each objective call; the first is the start grid
 
-        def spy(r4, theta, phi):
-            grids.append(np.size(theta))
-            return _conditional_entropy(r4, theta, phi)
+        def spy(rho, w):
+            grids.append(np.size(w))
+            return _conditional_entropy(rho, w)
 
         monkeypatch.setattr(res, "_conditional_entropy", spy)
         for seed in range(5):
@@ -202,43 +203,45 @@ def random_x_state(rng, swap_symmetric=False):
     return rho
 
 
-def assert_matches_general_route(rho):
-    fast = quantum_discord(rho)
-    ref = _discord(np.asarray(rho, dtype=complex), _general_search)
-    assert fast.optimizer_evals < 100  # the X-state search ran
-    assert abs(fast.discord - ref.discord) <= 1e-9
-    # a supremum: a lower classical correlation would be a worse optimum
-    assert fast.classical_correlation >= ref.classical_correlation - 1e-12
-    assert 0.0 <= fast.optimal_direction.theta <= np.pi
-    assert 0.0 <= fast.optimal_direction.phi < 2.0 * np.pi
+def assert_match_general_route(states):
+    """Each state's X-state route against one stacked general-route call."""
+    states = np.asarray(states, dtype=complex)
+    ref = _discord(states, _general_search)
+    fast = [quantum_discord(rho) for rho in states]
+    for i, r in enumerate(fast):
+        assert r.optimizer_evals < 100  # the X-state search ran
+        assert abs(r.discord - ref.discord[i]) <= 1e-9
+        # a supremum: a lower classical correlation would be a worse optimum
+        assert r.classical_correlation >= ref.classical_correlation[i] - 1e-12
+        assert 0.0 <= r.optimal_direction.theta <= np.pi
+        assert 0.0 <= r.optimal_direction.phi < 2.0 * np.pi
     return fast
 
 
 class TestXStateDiscord:
     def test_random_x_states_match_general_route(self):
         rng = np.random.default_rng(4242)
-        for _ in range(1000):
-            assert_matches_general_route(random_x_state(rng))
+        assert_match_general_route([random_x_state(rng) for _ in range(1000)])
 
     def test_bundled_thermal_states_match_general_route(self):
         paths = sorted(CONFIG_DIR.glob("thermal_*.cfg"))
         assert len(paths) == 15
+        states = []
         for path in paths:
             cfg = parse_config(path.read_text())
-            for temp in cfg.sweep.values():
-                zeta = gibbs_numeric(cfg.params.replace(temperature=float(temp)))
-                assert_matches_general_route(zeta)
+            states += [gibbs_numeric(cfg.params.replace(temperature=float(temp)))
+                       for temp in cfg.sweep.values()]
+        assert_match_general_route(states)
 
     def test_intermediate_angle_optimum(self):
         # neither sz (theta = 0) nor sx (theta = pi/2) is optimal here
         # (Huang, PRA 88, 014302): the search must not just compare them
         rho = np.diag([0.93, 0.0, 0.035, 0.035]).astype(complex)
         rho[0, 3] = rho[3, 0] = 0.16
-        fast = assert_matches_general_route(rho)
+        fast, = assert_match_general_route([rho])
         assert 0.1 < fast.optimal_direction.theta < np.pi / 2 - 0.1
         d = fast.optimal_direction
-        cond = _conditional_entropy(rho.reshape(2, 2, 2, 2), np.array([0.0, np.pi / 2, d.theta]),
-                                    np.full(3, d.phi))
+        cond = _conditional_entropy(rho, np.array([0.0, np.pi / 2, d.theta]) * np.exp(1j * d.phi))
         assert min(cond[0], cond[1]) - cond[2] > 1e-3
 
     def test_never_above_a_dense_theta_scan(self):
@@ -249,10 +252,9 @@ class TestXStateDiscord:
         rng = np.random.default_rng(2024)
         thetas = np.linspace(0.0, np.pi, 20001)
         for rho in [intermediate] + [random_x_state(rng) for _ in range(200)]:
-            r4 = rho.reshape(2, 2, 2, 2)
             phi = 0.5 * (np.angle(rho[2, 1]) - np.angle(rho[0, 3]))
-            scan = _conditional_entropy(r4, thetas, np.full(thetas.size, phi)).min()
-            best, _, evals = _x_state_search(r4)
+            scan = _conditional_entropy(rho, thetas * np.exp(1j * phi)).min()
+            best, _, _, evals = _x_state_search(rho)
             assert evals < 100
             assert best <= scan + 1e-12
 
@@ -306,25 +308,77 @@ def general_search_states():
 class TestGeneralSearch:
     def test_never_above_nelder_mead(self):
         # the Nelder-Mead polish from a 64x64 grid is the reference
-        for rho in general_search_states():
-            r4 = rho.reshape(2, 2, 2, 2)
-            assert _general_search(r4)[0] <= nelder_mead_search(r4)[0] + 1e-12
+        states = general_search_states()
+        found = _general_search(np.array(states))
+        for rho, cond in zip(states, found[0]):
+            assert cond <= nelder_mead_search(rho)[0] + 1e-12
 
     def test_never_above_a_dense_2d_scan(self):
         # an oracle that shares no optimizer with the search: 401 x 800
         # (theta, phi) points over the whole sphere
         tg, pg = np.meshgrid(np.linspace(0.0, np.pi, 401),
                              np.linspace(0.0, 2.0 * np.pi, 800, endpoint=False), indexing="ij")
+        scan = (tg * np.exp(1j * pg)).ravel()
         states = general_search_states()[::20]
         assert len(states) >= 20
-        for rho in states:
-            r4 = rho.reshape(2, 2, 2, 2)
-            assert _general_search(r4)[0] <= _conditional_entropy(r4, tg, pg).min() + 1e-12
+        for rho, cond in zip(states, _general_search(np.array(states))[0]):
+            assert cond <= _conditional_entropy(rho, scan).min() + 1e-12
 
     def test_bitwise_deterministic(self):
-        for rho in general_search_states()[::40]:
-            r4 = rho.reshape(2, 2, 2, 2)
-            assert _general_search(r4) == _general_search(r4.copy())
+        states = np.array(general_search_states()[::40])
+        assert np.array_equal(_general_search(states), _general_search(states.copy()))
+
+
+class TestStackedDiscord:
+    # special states 5 to 13 mix X-states and general ones; full-rank ones follow
+    MIXED = np.r_[5:14, 19:19 + SEARCH_CHUNK]
+
+    def test_general_search_rows_equal_single_state_calls(self):
+        # a state's value, angles and evaluation count do not depend on
+        # the stack around it, wherever the chunk boundaries fall
+        states = np.array(general_search_states())
+        single = np.array([_general_search(rho[None])[:, 0] for rho in states]).T
+        assert len(set(single[3])) > 10  # states leave the rounds at different times
+        stacks = [(np.arange(len(states)), _general_search(states))]
+        for size in (1, SEARCH_CHUNK - 1, SEARCH_CHUNK, SEARCH_CHUNK + 1):
+            idx = self.MIXED[:size]
+            stacks.append((idx, _general_search(states[idx])))
+        for idx, found in stacks:
+            assert np.max(np.abs(found[0] - single[0, idx])) <= 1e-14
+            assert np.array_equal(found[1:], single[1:, idx])
+
+    def test_zero_round_search_equals_single_state_calls(self, monkeypatch):
+        import dipolarqb.resources as res
+
+        monkeypatch.setattr(res, "REFINE_ROUNDS", 0)
+        states = np.array(general_search_states()[::10])
+        found = _general_search(states)
+        assert np.all(found[3] == GRID_THETA_N * GRID_PHI_N)
+        for i, rho in enumerate(states):
+            assert np.array_equal(found[:, i], _general_search(rho[None])[:, 0])
+
+    @pytest.mark.parametrize("measure", ["A", "B"])
+    def test_discord_of_a_stack_equals_single_state_calls(self, measure):
+        states = np.array(general_search_states())
+        singles = [quantum_discord(rho, measure=measure) for rho in states]
+        sizes = (len(states), 1, SEARCH_CHUNK - 1, SEARCH_CHUNK, SEARCH_CHUNK + 1)
+        for size in sizes:
+            idx = np.arange(len(states)) if size == len(states) else self.MIXED[:size]
+            stacked = quantum_discord(states[idx], measure=measure)
+            assert stacked.discord.shape == (size,)
+            assert type(stacked.optimizer_evals) is int
+            assert stacked.optimizer_evals == sum(singles[i].optimizer_evals for i in idx)
+            for k, i in enumerate(idx):
+                assert abs(stacked.discord[k] - singles[i].discord) <= 1e-14
+                assert stacked.optimal_direction.theta[k] == singles[i].optimal_direction.theta
+                assert stacked.optimal_direction.phi[k] == singles[i].optimal_direction.phi
+                assert stacked.mutual_information[k] == singles[i].mutual_information
+
+    def test_stack_keeps_its_leading_shape(self):
+        states = np.array(general_search_states()[:12]).reshape(3, 4, 4, 4)
+        r = quantum_discord(states)
+        assert r.discord.shape == r.optimal_direction.theta.shape == (3, 4)
+        assert r.discord[2, 1] == quantum_discord(states[2, 1]).discord
 
 
 class TestOptimizerInternals:
@@ -346,7 +400,7 @@ class TestOptimizerInternals:
             r4 = rho.reshape(2, 2, 2, 2)
             th = rng.uniform(0, np.pi, 5)
             ph = rng.uniform(0, 2 * np.pi, 5)
-            fast = _conditional_entropy(r4, th, ph)
+            fast = _conditional_entropy(rho, th * np.exp(1j * ph))
             pairs = _projector_pairs(th, ph)
             for n in range(5):
                 ref = 0.0
@@ -358,11 +412,10 @@ class TestOptimizerInternals:
 
     def test_scalar_objective_matches_vectorized(self, rng):
         rho = random_density(rng)
-        r4 = rho.reshape(2, 2, 2, 2)
-        f = _scalar_objective(r4)
+        f = _scalar_objective(rho)
         th = rng.uniform(0, np.pi, 20)
         ph = rng.uniform(0, 2 * np.pi, 20)
-        vec = _conditional_entropy(r4, th, ph)
+        vec = _conditional_entropy(rho, th * np.exp(1j * ph))
         for t, p_, v in zip(th, ph, vec):
             assert abs(f([t, p_]) - v) < 1e-12
 
