@@ -13,7 +13,6 @@ import numpy as np
 
 from dipolarqb import (
     ModelParams,
-    TimeGrid,
     capacity,
     capacity_closed_form,
     charge_trajectory,
@@ -27,8 +26,7 @@ from dipolarqb.dynamics import charged_state
 p = ModelParams(delta=1.0, epsilon=0.5, temperature=1.0, omega=1.0)
 zeta = gibbs_numeric(p)
 
-grid = TimeGrid(0.0, np.pi / p.omega, 1e-3)
-times, states = charge_trajectory(p, zeta, grid, n_samples=9)
+times, states = charge_trajectory(p, zeta, 0.0, np.pi / p.omega, n_samples=9)
 
 series = work_and_power(states, times, p)
 print("Omega*t   ergotropy   power_avg  efficiency")

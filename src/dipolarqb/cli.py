@@ -1,27 +1,29 @@
 """Command-line driver: scenario execution, sweeps, CSV and plot output.
 
-scenario       run keys it takes                            what it writes
-spectrum       (none)                                       eigenvalues, closed vs numeric
-gibbs          (none)                                       Gibbs entries, closed vs numeric
-dephasing      t0 t1 dt samples sweep outputs               measures vs t under dephasing
-thermal-sweep  sweep outputs                                Gibbs-state measures vs T
-charge         t0 t1 dt samples sweep outputs with_discord  battery metrics vs Omega*t
-grid2d         sweep sweep2                                 orbit peaks over a 2-D grid
+scenario       run keys it takes                         what it writes
+spectrum       (none)                                    eigenvalues, closed vs numeric
+gibbs          (none)                                    Gibbs entries, closed vs numeric
+dephasing      t0 t1 dt samples sweep outputs            measures vs t under dephasing
+thermal-sweep  sweep outputs                             Gibbs-state measures vs T
+charge         t0 t1 samples sweep outputs with_discord  battery metrics vs Omega*t
+grid2d         sweep sweep2                              orbit peaks over a 2-D grid
 
 Every scenario also takes the eight model parameters and ``out``; a run
-key the scenario does not take is a configuration error.  Configs are
-flat ``key = value`` text files and every key has a matching CLI flag.
-File and flag values are merged as text, flags winning, and parsed once,
-so a flag also overrides a file value that would not parse.  Sweep axes
-are compact specs ``name:min:max:count[:log]`` over the model
-parameters.  ``run_scenario`` expands the axes into parameter points
-and maps the scenario's row function, which returns the CSV rows of one
-point, over them.  spectrum, gibbs, dephasing and charge write one CSV
-per point (one CSV when nothing is swept); thermal-sweep and grid2d
-write one CSV whose rows lead with the axis values.  CSV output uses 17
-significant digits, comma separators, and LF endings so repeated runs
-are byte-identical.  ``--emit-plot`` writes a gnuplot script next to
-each CSV; scripts reference the CSV, never embed data.
+key the scenario does not take is a configuration error.  A time study
+writes exactly ``samples`` uniform rows from t0 to t1; dt bounds the RK4
+step.  Configs are flat ``key = value`` text files and every key has a
+matching CLI flag.  File and flag values are merged as text, flags
+winning, and parsed once, so a flag also overrides a file value that
+would not parse.  Sweep axes are compact specs
+``name:min:max:count[:log]`` over the model parameters.
+``run_scenario`` expands the axes into parameter points and maps the
+scenario's row function, which returns the CSV rows of one point, over
+them.  spectrum, gibbs, dephasing and charge write one CSV per point (one
+CSV when nothing is swept); thermal-sweep and grid2d write one CSV whose
+rows lead with the axis values.  CSV output uses 17 significant digits,
+comma separators, and LF endings so repeated runs are byte-identical.
+``--emit-plot`` writes a gnuplot script next to each CSV; scripts
+reference the CSV, never embed data.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
@@ -37,13 +39,16 @@ from functools import partial
 import numpy as np
 
 from .battery import capacity, orbit_peaks, work_and_power
-from .dynamics import TimeGrid, charge_trajectory, evolve_lindblad
+from .dynamics import TimeGrid, charge_trajectory, check_span, evolve_lindblad
 from .linalg import hermitian_eigen
 from .model import ModelParams, build_hamiltonian, closed_form_spectrum
 from .resources import concurrence, l1_coherence, quantum_discord
 from .thermal import gibbs_closed_form, gibbs_numeric
 
 PARAM_KEYS = ("delta", "epsilon", "dm", "ksea", "field", "temperature", "omega", "gamma")
+# a run holds (samples, 4, 4) complex stacks, 256 bytes a sample: 1e8 would
+# be 25 GB a stack, 1e5 (200x the largest bundled value) is 25 MB
+MAX_SAMPLES = 100_000
 
 
 class ConfigError(ValueError):
@@ -187,10 +192,12 @@ class ScenarioConfig:
     def resolved_header(self):
         return SCENARIOS[self.scenario].leading + self.resolved_outputs()
 
-    def resolved_grid(self, p):
+    def resolved_span(self, p):
         t1 = SCENARIOS[self.scenario].t1(p) if self.t1 is None else self.t1
-        t0 = 0.0 if self.t0 is None else self.t0
-        return TimeGrid(t0=t0, t1=t1, dt=1e-3 if self.dt is None else self.dt)
+        return 0.0 if self.t0 is None else self.t0, t1
+
+    def resolved_grid(self, p):
+        return TimeGrid(*self.resolved_span(p), 1e-3 if self.dt is None else self.dt)
 
     def resolved_samples(self):
         return SCENARIOS[self.scenario].samples if self.samples is None else self.samples
@@ -228,18 +235,19 @@ def validate_config(cfg):
     repeated = [c for i, c in enumerate(cfg.outputs or ()) if c in cfg.outputs[:i]]
     if repeated:
         raise ConfigError(f"outputs names {', '.join(repeated)} more than once")
-    if cfg.samples is not None and cfg.samples < 2:
-        raise ConfigError("samples must be at least 2")
-    # every swept point must give valid parameters and, for the scenarios
-    # that integrate in time, a valid grid, not just the base point
+    if cfg.samples is not None and not 2 <= cfg.samples <= MAX_SAMPLES:
+        raise ConfigError(f"samples must be at least 2 and at most {MAX_SAMPLES}")
+    # every swept point must give valid parameters and, for the time
+    # studies, valid sample times, not just the base point
     try:
         points = [cfg.params]
         for axis in (cfg.sweep, cfg.second_axis):
             if axis is not None:
                 points += [cfg.params.replace(**{axis.name: float(v)}) for v in axis.values()]
-        if "t1" in sc.keys:
-            for p in points:
-                cfg.resolved_grid(p)
+        for p in points if "t1" in sc.keys else ():
+            check_span(*cfg.resolved_span(p), cfg.resolved_samples())
+            if "dt" in sc.keys:  # and the RK4 grid once refined for the samples
+                cfg.resolved_grid(p).sampled(cfg.resolved_samples())
         if cfg.scenario == "grid2d" and any(p.omega == 0.0 for p in points):
             raise ValueError("grid2d with omega = 0 has no charging period pi/omega")
     except ValueError as exc:
@@ -350,9 +358,7 @@ def _gibbs_rows(cfg, p):
 
 def _dephasing_rows(cfg, p):
     """One dephasing trajectory from |00><00|."""
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[0, 0] = 1.0
-    times, states = evolve_lindblad(p, rho0, cfg.resolved_grid(p),
+    times, states = evolve_lindblad(p, np.diag([1.0, 0.0, 0.0, 0.0]), cfg.resolved_grid(p),
                                     n_samples=cfg.resolved_samples())
     outputs = cfg.resolved_outputs()
     return [[t] + [_STATE_METRICS[name](rho) for name in outputs]
@@ -368,12 +374,10 @@ def _thermal_rows(cfg, p):
 def _charge_rows(cfg, p):
     """One unitary charging run from the Gibbs state."""
     outputs = cfg.resolved_outputs()
-    times, states = charge_trajectory(p, gibbs_numeric(p), cfg.resolved_grid(p),
+    times, states = charge_trajectory(p, gibbs_numeric(p), *cfg.resolved_span(p),
                                       n_samples=cfg.resolved_samples())
     columns = dict(work_and_power(states, times, p).columns)
-    cap = capacity(p)
-    columns["capacity_basis"] = [cap.capacity_basis] * len(times)
-    columns["capacity_unitary"] = [cap.capacity_unitary] * len(times)
+    columns.update((name, [value] * len(times)) for name, value in vars(capacity(p)).items())
     if "discord" in outputs:
         columns["discord"] = quantum_discord(states).discord.tolist()
     return [[p.omega * t] + [columns[name][i] for name in outputs]
@@ -412,7 +416,6 @@ def _run_tasks(worker, tasks, jobs):
 # ---------------------------------------------------------------- scenarios
 
 _STATE_COLUMNS = ("concurrence", "discord", "coherence")
-_TIME_KEYS = ("t0", "t1", "dt", "samples", "sweep", "outputs")
 
 SCENARIOS = {
     "spectrum": Scenario(
@@ -421,8 +424,8 @@ SCENARIOS = {
         ("row", "col"), ("closed_re", "closed_im", "numeric_re", "numeric_im", "abs_deviation"),
         _gibbs_rows),
     "dephasing": Scenario(
-        ("t",), _STATE_COLUMNS, _dephasing_rows, _TIME_KEYS, _STATE_COLUMNS, 201,
-        t1=lambda p: 10.0),
+        ("t",), _STATE_COLUMNS, _dephasing_rows, ("t0", "t1", "dt", "samples", "sweep", "outputs"),
+        _STATE_COLUMNS, 201, t1=lambda p: 10.0),
     "thermal-sweep": Scenario(
         ("T",), _STATE_COLUMNS, _thermal_rows, ("sweep", "outputs"), _STATE_COLUMNS,
         axis=AxisSpec("temperature", 0.05, 5.0, 200), axis_rows=True),
@@ -430,7 +433,7 @@ SCENARIOS = {
         ("omega_t",),
         ("ergotropy", "power_instant", "capacity_basis", "capacity_unitary", "coherence"),
         _charge_rows,
-        _TIME_KEYS + ("with_discord",),
+        ("t0", "t1", "samples", "sweep", "outputs", "with_discord"),
         ("ergotropy", "work", "power_instant", "power_avg", "efficiency",
          "capacity_basis", "capacity_unitary", "coherence", "discord"),
         501, t1=_one_period),
@@ -543,16 +546,10 @@ def _resolve_jobs(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
-        jobs = _resolve_jobs(args)
-    except ConfigError as exc:
-        print(f"dipolar-qb: config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        paths = run_scenario(cfg, jobs=jobs)
+        paths = run_scenario(cfg, jobs=_resolve_jobs(args))
         if args.emit_plot:
             for path in paths:
                 emit_plot_script(path, cfg)
@@ -563,7 +560,7 @@ def main(argv=None):
         print(f"dipolar-qb: config error: cannot write output: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # numeric failure from the inner modules
-        print(f"dipolar-qb: numeric failure in {cfg.scenario}: {type(exc).__name__}: {exc}",
+        print(f"dipolar-qb: numeric failure in {args.scenario}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
     for path in paths:

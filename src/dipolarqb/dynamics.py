@@ -15,15 +15,16 @@ The generator does not depend on time, so one RK4 step is the fixed
 16x16 matrix P = 1 + z + z^2/2 + z^3/6 + z^4/24, z = dt L, acting on the
 column-stacked state, with L = `lindblad_superoperator`.
 `evolve_lindblad` precomputes P^stride once and applies it between
-stored samples (a smaller power for the last, partial stride): the same
-numerical method as the step-by-step loop, without the per-step Python
-work.  The plain generator `oracles.lindblad_rhs` is what L is checked
-against, and expm(L t) is the exact cross-check of the trajectories;
-the gamma = 0 limit must reproduce plain unitary conjugation.
+every pair of samples: the same numerical method as the step-by-step
+loop, without the per-step Python work.  The plain generator
+`oracles.lindblad_rhs` is what L is checked against, and expm(L t) is
+the exact cross-check of the trajectories; the gamma = 0 limit must
+reproduce plain unitary conjugation.
 
 Charging is closed-system: rho(t) = U(t) rho0 U(t)^dag with the
 transverse-field propagator from `model.charging_unitary`, conjugated
-over a whole stack of sample times at once.
+over a whole stack of sample times at once, with no integration grid.
+Both return exactly n_samples samples, at t0 + (t1 - t0) k / (n_samples - 1).
 """
 
 from dataclasses import dataclass
@@ -42,6 +43,14 @@ EIGENVALUE_FLOOR = -1e-6
 DEFAULT_SAMPLES = 1000
 
 
+def check_span(t0, t1, n_samples=2):
+    """Raise ValueError unless t0 < t1 span a finite time with n_samples >= 2."""
+    if not (np.isfinite(t1 - t0) and t1 > t0):
+        raise ValueError(f"need finite t0 < t1, got [{t0!r}, {t1!r}]")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples!r}")
+
+
 @dataclass
 class TimeGrid:
     """Uniform integration grid: t0 to t1 in n equal steps.
@@ -56,12 +65,9 @@ class TimeGrid:
 
     def __post_init__(self):
         self.t0, self.t1, self.dt = float(self.t0), float(self.t1), float(self.dt)
-        if not all(np.isfinite((self.t0, self.t1, self.dt))):
-            raise ValueError(f"grid bounds and dt must be finite, got {self!r}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if self.t1 <= self.t0:
-            raise ValueError(f"need t1 > t0, got [{self.t0!r}, {self.t1!r}]")
+        check_span(self.t0, self.t1)
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         if (self.t1 - self.t0) / self.dt > 1e7:
             raise ValueError("grid would exceed 1e7 steps; enlarge dt")
         self.dt = (self.t1 - self.t0) / max(1, round((self.t1 - self.t0) / self.dt))
@@ -69,11 +75,11 @@ class TimeGrid:
     def n_steps(self):
         return int(round((self.t1 - self.t0) / self.dt))
 
-    def sample_steps(self, n_samples):
-        """Step indices of the stored samples: 0, every stride-th step, n."""
-        n = self.n_steps()
-        stride = max(1, int(np.ceil(n / max(1, n_samples))))
-        return list(range(0, n, stride)) + [n]
+    def sampled(self, n_samples):
+        """(grid, stride), stride = ceil(n / (n_samples - 1)), with the step shrunk to fit."""
+        check_span(self.t0, self.t1, n_samples)
+        stride = -(-self.n_steps() // (n_samples - 1))
+        return TimeGrid(self.t0, self.t1, (self.t1 - self.t0) / (stride * (n_samples - 1))), stride
 
 
 class TimeSeries:
@@ -83,12 +89,10 @@ class TimeSeries:
         self.times = np.asarray(times, dtype=float)
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
-        self.columns = {}
-        for name, values in columns.items():
-            values = np.asarray(values, dtype=float)
+        self.columns = {name: np.asarray(values, dtype=float) for name, values in columns.items()}
+        for name, values in self.columns.items():
             if values.shape != self.times.shape:
                 raise ValueError(f"column {name!r} length {values.shape} != times {self.times.shape}")
-            self.columns[name] = values
 
     def __getitem__(self, name):
         return self.columns[name]
@@ -137,26 +141,23 @@ def _check_sample(rho, t):
 def evolve_lindblad(p, rho0, grid, n_samples=DEFAULT_SAMPLES):
     """Fixed-step RK4 trajectory of the dissipative dynamics.
 
-    Returns (times, states): times include t0 and t1, states are
-    re-Hermitized, trace-renormalized copies checked against the trace
-    and positivity guards at every stored sample.  The propagated state
-    itself is never renormalized, so the guards see the raw RK4 drift.
+    Returns (times, states) on the grid refined by `TimeGrid.sampled`;
+    states are re-Hermitized, trace-renormalized copies checked against
+    the trace and positivity guards at every sample.  The propagated
+    state itself is never renormalized, so the guards see the raw drift.
     """
+    grid, stride = grid.sampled(n_samples)
     z = grid.dt * lindblad_superoperator(p)
     eye = np.eye(16, dtype=complex)
     # RK4 on a linear ODE is its degree-4 Taylor polynomial, P = 1 + d
     d = z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
-    steps = grid.sample_steps(n_samples)
-    times = grid.t0 + grid.dt * np.array(steps)
+    increment = _power_increment(d, stride)
+    times = grid.t0 + grid.dt * (stride * np.arange(n_samples))
     vec = np.array(rho0, dtype=complex).flatten(order="F")
-    states = [_check_sample(vec.reshape(4, 4, order="F"), times[0])]
-    increments = {}
-    for k in range(1, len(steps)):
-        gap = steps[k] - steps[k - 1]
-        if gap not in increments:
-            increments[gap] = _power_increment(d, gap)
-        vec = vec + increments[gap] @ vec
-        states.append(_check_sample(vec.reshape(4, 4, order="F"), times[k]))
+    states = []
+    for t in times:
+        states.append(_check_sample(vec.reshape(4, 4, order="F"), t))
+        vec = vec + increment @ vec
     return times, states
 
 
@@ -182,11 +183,12 @@ def charged_state(p, rho0, t):
     return u @ rho0 @ np.swapaxes(u.conj(), -1, -2)
 
 
-def charge_trajectory(p, rho0, grid, n_samples=DEFAULT_SAMPLES):
-    """Unitary charging orbit sampled on the grid's stored times.
+def charge_trajectory(p, rho0, t0, t1, n_samples=DEFAULT_SAMPLES):
+    """Unitary charging orbit at n_samples uniform times from t0 to t1.
 
     Returns (times, states) with states an (N, 4, 4) stack; the
     eigenvalues of every sample are those of rho0.
     """
-    times = grid.t0 + grid.dt * np.array(grid.sample_steps(n_samples))
+    check_span(t0, t1, n_samples)
+    times = np.linspace(t0, t1, n_samples)
     return times, charged_state(p, np.asarray(rho0, dtype=complex), times)

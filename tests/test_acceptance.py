@@ -39,7 +39,12 @@ from dipolarqb import (
     quantum_discord,
     work_and_power,
 )
-from dipolarqb.oracles import ergotropy_closed_form_literal, ergotropy_double_sum, matrix_exp
+from dipolarqb.oracles import (
+    charging_unitary_exact,
+    ergotropy_closed_form_literal,
+    ergotropy_double_sum,
+    matrix_exp,
+)
 from dipolarqb.cli import parse_config, run_scenario
 from conftest import bell_state, ket00, random_density, random_hermitian
 
@@ -199,8 +204,7 @@ def test_criterion_05_ergotropy_identities():
     for _ in range(10):
         p = ModelParams(*rng.uniform(-3.0, 3.0, 5), temperature=rng.uniform(0.3, 4.0))
         zeta = gibbs_numeric(p)
-        grid = TimeGrid(0.0, np.pi / p.omega, 1e-3)
-        times, states = charge_trajectory(p, zeta, grid, n_samples=41)
+        times, states = charge_trajectory(p, zeta, 0.0, np.pi / p.omega, n_samples=41)
         series = work_and_power(list(states), times, p)
         worst_eta = max(worst_eta, float(np.max(np.abs(series.columns["efficiency"] - 1.0))))
         cap = capacity(p).capacity_unitary
@@ -380,3 +384,42 @@ def test_criterion_09_config_determinism(tmp_path):
     _record(f"criterion 9: {compared} CSVs from {len(configs)} configs byte-identical "
             "across two runs")
     _wall_time(9, time.perf_counter() - t0)
+
+
+def test_criterion_10_charge_rows_cover_one_period(tmp_path):
+    # every bundled charge CSV holds exactly its 501 samples, uniform over
+    # Omega t in [0, pi], and its columns at those times match routes that
+    # share no code with the production orbit
+    t0 = time.perf_counter()
+    n_csv, worst_xi, worst_state, worst_l1 = 0, 0.0, 0.0, 0.0
+    for conf in sorted((REPO_ROOT / "configs").glob("charge_*.cfg")):
+        cfg = parse_config(conf.read_text())
+        assert cfg.resolved_samples() == 501
+        cfg.out_path = str(tmp_path / conf.stem / "c.csv")
+        values = cfg.sweep.values() if cfg.sweep else [None]
+        for path, v in zip(run_scenario(cfg, jobs=1), values, strict=True):
+            p = cfg.params if v is None else cfg.params.replace(**{cfg.sweep.name: float(v)})
+            lines = Path(path).read_text(encoding="ascii").splitlines()
+            header = lines[0].split(",")
+            body = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+            s = body[:, 0]
+            assert body.shape[0] == 501, f"{conf.name}: {body.shape[0]} rows"
+            assert s[0] == 0.0 and abs(s[-1] - np.pi) <= 1e-12
+            assert np.max(np.abs(np.diff(s) - np.pi / 500)) <= 1e-12
+            t = s / p.omega
+            xi = ergotropy_closed_form(p, t)
+            worst_xi = max(worst_xi, float(np.max(np.abs(body[:, header.index("ergotropy")] - xi))))
+            zeta = gibbs_numeric(p)
+            exact = np.array([u @ zeta @ u.conj().T
+                              for u in (charging_unitary_exact(p, tk) for tk in t)])
+            _, states = charge_trajectory(p, zeta, *cfg.resolved_span(p), n_samples=501)
+            worst_state = max(worst_state, float(np.max(np.abs(states - exact))))
+            l1 = np.abs(exact).sum(axis=(1, 2)) - np.abs(np.einsum("nii->ni", exact)).sum(axis=1)
+            worst_l1 = max(worst_l1, float(np.max(np.abs(body[:, header.index("coherence")] - l1))))
+            n_csv += 1
+    assert n_csv == 25
+    assert worst_xi <= 1e-12 and worst_state <= 1e-12 and worst_l1 <= 1e-12
+    _record(f"criterion 10: {n_csv} charge CSVs of 501 uniform rows over Omega*t in [0, pi]; "
+            f"ergotropy vs closed form {worst_xi:.3e}, states vs exp(-i H_ch t) "
+            f"{worst_state:.3e}, coherence {worst_l1:.3e}")
+    _wall_time(10, time.perf_counter() - t0)

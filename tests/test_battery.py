@@ -3,7 +3,6 @@ import pytest
 
 from dipolarqb import (
     ModelParams,
-    TimeGrid,
     antipassive_state,
     build_hamiltonian,
     capacity,
@@ -171,10 +170,9 @@ class TestClosedFormErgotropy:
 
 
 class TestWorkAndPower:
-    def run(self, p, t1=2.0, dt=1e-3, n_samples=41):
+    def run(self, p, t1=2.0, n_samples=41):
         zeta = gibbs_numeric(p)
-        grid = TimeGrid(0.0, t1, dt)
-        times, traj = charge_trajectory(p, zeta, grid, n_samples=n_samples)
+        times, traj = charge_trajectory(p, zeta, 0.0, t1, n_samples=n_samples)
         return times, work_and_power(list(traj), times, p)
 
     def test_start_sample_conventions(self):
@@ -222,7 +220,7 @@ class TestWorkAndPower:
 
     def test_stacked_metrics_match_single_samples(self):
         p = ModelParams(delta=1.0, epsilon=0.4, dm=0.3, ksea=0.2, field=0.6, temperature=0.9)
-        times, states = charge_trajectory(p, gibbs_numeric(p), TimeGrid(0.0, 2.0, 1e-3), n_samples=7)
+        times, states = charge_trajectory(p, gibbs_numeric(p), 0.0, 2.0, n_samples=7)
         stacked = work_and_power(states, times, p)
         for i in range(len(times)):
             single = work_and_power(states[i:i + 1], times[i:i + 1], p)

@@ -28,6 +28,7 @@ from dipolarqb import (
     von_neumann_entropy,
 )
 from dipolarqb.cli import (
+    MAX_SAMPLES,
     PARAM_KEYS,
     SCENARIOS,
     AxisSpec,
@@ -113,7 +114,6 @@ class TestParseConfig:
             sweep=AxisSpec("field", 0.0, 2.0, 5),
             outputs=("ergotropy", "coherence"),
             t1=1.5707963267948966,
-            dt=1e-3,
             samples=11,
             out_path="runs/demo.csv",
             with_discord=True,
@@ -122,7 +122,7 @@ class TestParseConfig:
 
     def test_numpy_scalar_run_keys_round_trip(self):
         cfg = ScenarioConfig(
-            scenario="charge", t0=np.float32(0.25), t1=np.float64(1.5), dt=np.float64(1e-3),
+            scenario="charge", t0=np.float32(0.25), t1=np.float64(1.5),
             samples=np.int64(11), with_discord=np.bool_(True),
             sweep=AxisSpec("temperature", np.float64(0.5), np.float64(4.0), 3),
         )
@@ -194,6 +194,13 @@ class TestValidateConfig:
     def test_samples_floor(self):
         with pytest.raises(ConfigError, match="at least 2"):
             validate_config(ScenarioConfig(scenario="dephasing", samples=1))
+
+    @pytest.mark.parametrize("scenario", ["dephasing", "charge"])
+    def test_samples_cap(self, scenario):
+        # only the rejection runs: a run at the cap would allocate its stacks
+        validate_config(ScenarioConfig(scenario=scenario, t1=1.0, samples=3))
+        with pytest.raises(ConfigError, match=f"samples must be .* at most {MAX_SAMPLES}"):
+            validate_config(ScenarioConfig(scenario=scenario, samples=MAX_SAMPLES + 1))
 
     def test_bad_grid_becomes_config_error(self):
         with pytest.raises(ConfigError):
@@ -268,19 +275,19 @@ class TestRunScenario:
         out = str(tmp_path / "c.csv")
         cfg = ScenarioConfig(scenario="charge",
                              params=ModelParams(delta=1.0, epsilon=0.1, field=0.5),
-                             dt=1e-2, samples=5, out_path=out)
+                             samples=5, out_path=out)
         run_scenario(cfg)
         header, body = read_table(out)
         assert header == ["omega_t"] + list(SCENARIOS["charge"].defaults)
-        # default span is one period, and the grid ends on it exactly
-        assert abs(body[-1, 0] - np.pi) < 1e-12
+        # default span is one period, in exactly samples uniform rows
+        assert np.allclose(body[:, 0], np.linspace(0.0, np.pi, 5), rtol=0.0, atol=1e-12)
         cap_cols = body[:, [3, 4]]
         assert np.all(cap_cols == cap_cols[0])  # capacities constant in t
 
     def test_charge_with_discord_appends_column(self, tmp_path):
         out = str(tmp_path / "cd.csv")
         cfg = ScenarioConfig(scenario="charge", params=ModelParams(delta=1.0, epsilon=0.5),
-                             dt=5e-2, samples=3, out_path=out, with_discord=True)
+                             samples=3, out_path=out, with_discord=True)
         run_scenario(cfg)
         header, _ = read_table(out)
         assert header[-1] == "discord"
@@ -295,8 +302,8 @@ class TestRunScenario:
         header, body = read_table(out)
         cfg = replace(parse_config(path.read_text()), samples=41)
         p = cfg.params
-        times, states = charge_trajectory(p, gibbs_numeric(p), cfg.resolved_grid(p), n_samples=41)
-        assert np.array_equal(body[:, 0], p.omega * times)
+        times, states = charge_trajectory(p, gibbs_numeric(p), *cfg.resolved_span(p), n_samples=41)
+        assert len(times) == 41 and np.array_equal(body[:, 0], p.omega * times)
         column = body[:, header.index("discord")]
         single = np.array([quantum_discord(rho).discord for rho in states])
         assert np.max(np.abs(column - single)) <= 1e-12
@@ -331,7 +338,7 @@ class TestRunScenario:
         out = str(tmp_path / "c.csv")
         cfg = ScenarioConfig(scenario="charge", params=ModelParams(delta=1.0),
                              sweep=AxisSpec("field", 0.0, 1.0, 3),
-                             outputs=("ergotropy",), dt=5e-2, samples=3, out_path=out)
+                             outputs=("ergotropy",), samples=3, out_path=out)
         paths = run_scenario(cfg)
         assert [os.path.basename(p) for p in paths] == [
             "c_field00_0.csv", "c_field01_0.5.csv", "c_field02_1.csv",
@@ -373,7 +380,7 @@ class TestRunScenario:
         keys = {
             "thermal-sweep": dict(sweep=AxisSpec("temperature", 0.5, 2.0, 3)),
             "dephasing": dict(sweep=AxisSpec("gamma", 0.1, 0.3, 3), t1=0.3, dt=1e-2, samples=4),
-            "charge": dict(sweep=AxisSpec("field", 0.0, 1.0, 3), dt=5e-2, samples=3),
+            "charge": dict(sweep=AxisSpec("field", 0.0, 1.0, 3), samples=3),
         }[scenario]
         written = []
         for jobs in (1, 2):
@@ -425,7 +432,7 @@ class TestMain:
 
     def test_numeric_failure_exit_2(self, tmp_path, capsys):
         code = main([
-            "dephasing", "--field", "5", "--gamma", "5", "--dt", "0.5",
+            "dephasing", "--field", "5", "--gamma", "5", "--dt", "0.5", "--samples", "11",
             "--t1", "5", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
@@ -512,6 +519,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error: outputs names no column" in err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # 1e8 states would be about 25 GB; refused before anything is built
+        ["charge", "--samples", "100000000"],
+        ["dephasing", "--samples", "100001"],
+        # 9999999 steps, rounded up to 7 x 1428572 to fit 8 samples
+        ["dephasing", "--t1", "1e4", "--dt", repr(1e4 / 9999999), "--samples", "8"],
+    ])
+    def test_sample_count_and_step_caps_are_config_errors(self, tmp_path, capsys, argv):
+        assert main([*argv, "--jobs", "1", "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert ("1e7 steps" if "--dt" in argv else "samples must be") in err
+        assert not list(tmp_path.iterdir())
 
     def test_bundled_charge_run_ends_on_one_period(self, tmp_path, capsys):
         out = str(tmp_path / "c.csv")
@@ -605,6 +626,8 @@ class TestStrictKeys:
                     "--with-discord --samples 3".split()) == 1
         err = capsys.readouterr().err
         assert "grid2d does not take samples, with_discord;" in err
+        assert main("charge --dt 0.01 --samples 3".split()) == 1
+        assert "charge does not take dt;" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 

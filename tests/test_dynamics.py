@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -20,6 +22,17 @@ from dipolarqb import (
 )
 from dipolarqb.oracles import is_valid_state, lindblad_rhs, matrix_exp
 from conftest import bell_state, ket00, random_density
+
+
+# n = 10 steps of 0.1 over [0.5, 1.5], for samples - 1 that divides n, does
+# not divide it, exceeds it, and for the two endpoints alone
+SAMPLE_CASES = [6, 4, 21, 2]
+
+
+def assert_uniform_samples(times, n_samples, t0=0.5, t1=1.5):
+    assert len(times) == n_samples
+    assert abs(times[0] - t0) <= 1e-12 and abs(times[-1] - t1) <= 1e-12
+    assert np.max(np.abs(np.diff(times) - (t1 - t0) / (n_samples - 1))) <= 1e-12
 
 
 class TestTimeGrid:
@@ -52,10 +65,18 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match="finite"):
                 TimeGrid(*bad)
 
-    def test_sample_steps(self):
-        assert TimeGrid(0.0, 1.0, 0.1).sample_steps(3) == [0, 4, 8, 10]
-        assert TimeGrid(0.0, 1.0, 0.1).sample_steps(5) == [0, 2, 4, 6, 8, 10]
-        assert TimeGrid(0.0, 1.0, 0.1).sample_steps(100) == list(range(11))
+    @pytest.mark.parametrize("n_samples", SAMPLE_CASES)
+    def test_sampled_grid_puts_every_sample_on_a_step(self, n_samples):
+        grid, stride = TimeGrid(0.5, 1.5, 0.1).sampled(n_samples)
+        assert stride == math.ceil(10 / (n_samples - 1))
+        assert grid.n_steps() == stride * (n_samples - 1)
+        assert grid.dt <= 0.1 and abs(grid.dt * grid.n_steps() - 1.0) < 1e-15
+
+    def test_sampled_grid_keeps_the_step_cap(self):
+        grid = TimeGrid(0.0, 1e4, 1e4 / 9999999)  # just under the cap
+        assert grid.n_steps() == 9999999
+        with pytest.raises(ValueError, match="1e7 steps"):
+            grid.sampled(8)  # rounds up to 7 x 1428572 steps
 
 
 class TestTimeSeries:
@@ -179,9 +200,22 @@ class TestEvolveLindblad:
         ref = (prop @ ket00().flatten(order="F")).reshape(4, 4, order="F")
         assert np.max(np.abs(states[-1] - ref)) < 1e-7
 
+    @pytest.mark.parametrize("n_samples", SAMPLE_CASES)
+    def test_exact_uniform_samples(self, n_samples):
+        p = ModelParams(delta=1.0, epsilon=0.5, gamma=0.2)
+        times, states = evolve_lindblad(p, ket00(), TimeGrid(0.5, 1.5, 0.1), n_samples=n_samples)
+        assert_uniform_samples(times, n_samples)
+        assert len(states) == n_samples
+
+    @pytest.mark.parametrize("n_samples", [1, 0, -3])
+    def test_rejects_fewer_than_two_samples(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            evolve_lindblad(ModelParams(), ket00(), TimeGrid(0.0, 1.0, 0.1), n_samples=n_samples)
+
     def test_matches_plain_rk4_loop(self, rng):
         # independent of lindblad_superoperator: classical RK4 written out
-        # on lindblad_rhs; 1000 steps in 7 samples leave a partial stride
+        # on lindblad_rhs; 1000 steps do not divide into 6 intervals, so the
+        # step shrinks to 1 / (167 * 6)
         grid = TimeGrid(0.0, 1.0, 1e-3)
         for _ in range(3):
             p = ModelParams(delta=rng.uniform(-3, 3), epsilon=rng.uniform(-3, 3),
@@ -189,8 +223,9 @@ class TestEvolveLindblad:
                             field=rng.uniform(-3, 3), gamma=rng.uniform(0.0, 1.0))
             rho = random_density(rng)
             times, states = evolve_lindblad(p, rho, grid, n_samples=7)
-            dt, n = grid.dt, grid.n_steps()
-            stride = int(np.ceil(n / 7))
+            stride = math.ceil(1000 / 6)
+            n = 6 * stride
+            dt = 1.0 / n
             ref_times, ref_states = [0.0], [rho]
             for i in range(n):
                 k1 = lindblad_rhs(p, rho)
@@ -198,10 +233,10 @@ class TestEvolveLindblad:
                 k3 = lindblad_rhs(p, rho + 0.5 * dt * k2)
                 k4 = lindblad_rhs(p, rho + dt * k3)
                 rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if (i + 1) % stride == 0 or i == n - 1:
+                if (i + 1) % stride == 0:
                     ref_times.append((i + 1) * dt)
                     ref_states.append(rho)
-            assert len(states) == len(ref_states) == 8
+            assert len(states) == len(ref_states) == 7
             assert np.array_equal(times, ref_times)
             for got, ref in zip(states, ref_states):
                 assert np.max(np.abs(got - ref)) < 1e-12
@@ -216,14 +251,13 @@ class TestChargeTrajectory:
     def test_starts_at_initial_state(self):
         p = ModelParams(delta=1.0, epsilon=0.5)
         zeta = gibbs_numeric(p)
-        times, states = charge_trajectory(p, zeta, TimeGrid(0.0, 1.0, 1e-3), n_samples=3)
+        times, states = charge_trajectory(p, zeta, 0.0, 1.0, n_samples=3)
         assert times[0] == 0.0
         assert np.max(np.abs(states[0] - zeta)) < 1e-14
 
     def test_half_turn_inverts_population(self):
         p = ModelParams(omega=1.0)
-        grid = TimeGrid(0.0, np.pi / 2, np.pi / 2)
-        _, states = charge_trajectory(p, ket00(), grid, n_samples=2)
+        _, states = charge_trajectory(p, ket00(), 0.0, np.pi / 2, n_samples=2)
         expected = np.zeros((4, 4), dtype=complex)
         expected[3, 3] = 1.0
         assert np.max(np.abs(states[-1] - expected)) < 1e-12
@@ -232,7 +266,7 @@ class TestChargeTrajectory:
         p = ModelParams(delta=1.0, epsilon=0.5, dm=0.3, field=0.2, omega=1.3)
         zeta = gibbs_numeric(p)
         ref = np.linalg.eigvalsh(zeta)
-        _, states = charge_trajectory(p, zeta, TimeGrid(0.0, 5.0, 1e-3), n_samples=9)
+        _, states = charge_trajectory(p, zeta, 0.0, 5.0, n_samples=9)
         for rho in states:
             assert np.max(np.abs(np.linalg.eigvalsh(rho) - ref)) < 1e-10
             assert abs(np.trace(rho).real - 1.0) < 1e-12
@@ -244,8 +278,7 @@ class TestChargeTrajectory:
         p = ModelParams(delta=1.0, epsilon=0.5, dm=0.4, field=0.3)
         zeta = gibbs_numeric(p)
         h = build_hamiltonian(p)
-        grid = TimeGrid(0.0, 2.0, 1e-3)
-        times, left = charge_trajectory(p, zeta, grid, n_samples=5)
+        times, left = charge_trajectory(p, zeta, 0.0, 2.0, n_samples=5)
         for t, a in zip(times, left):
             u = charging_unitary(p, t)
             b = u.conj().T @ zeta @ u
@@ -258,8 +291,24 @@ class TestChargeTrajectory:
     def test_matches_unitary_formula(self):
         p = ModelParams(delta=0.7, epsilon=0.2, omega=0.9)
         zeta = gibbs_numeric(p)
-        grid = TimeGrid(0.0, 3.0, 1e-3)
-        times, states = charge_trajectory(p, zeta, grid, n_samples=6)
+        times, states = charge_trajectory(p, zeta, 0.0, 3.0, n_samples=6)
         for t, rho in zip(times, states):
             u = charging_unitary(p, t)
             assert np.max(np.abs(rho - u @ zeta @ u.conj().T)) < 1e-13
+
+    @pytest.mark.parametrize("n_samples", SAMPLE_CASES)
+    def test_exact_uniform_samples(self, n_samples):
+        p = ModelParams(delta=1.0, epsilon=0.5)
+        times, states = charge_trajectory(p, gibbs_numeric(p), 0.5, 1.5, n_samples=n_samples)
+        assert_uniform_samples(times, n_samples)
+        assert states.shape == (n_samples, 4, 4)
+
+    @pytest.mark.parametrize("n_samples", [1, 0, -3])
+    def test_rejects_fewer_than_two_samples(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            charge_trajectory(ModelParams(), ket00(), 0.0, 1.0, n_samples=n_samples)
+
+    @pytest.mark.parametrize("span", [(1.0, 1.0), (1.0, 0.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_rejects_empty_or_non_finite_span(self, span):
+        with pytest.raises(ValueError, match="finite t0 < t1"):
+            charge_trajectory(ModelParams(), ket00(), *span, n_samples=3)

@@ -13,7 +13,6 @@ from dipolarqb import (
     gibbs_numeric,
     l1_coherence,
     quantum_discord,
-    TimeGrid,
     von_neumann_entropy,
 )
 from dipolarqb.cli import parse_config
@@ -159,7 +158,7 @@ class TestDiscord:
         # refined discord on the charging-orbit states this model
         # produces, which are not X-states.  Samples at multiples of
         # Omega t = pi/2 are (sx x sx) zeta (sx x sx) or zeta itself,
-        # X-states, so only the interior samples, near pi/3 and 2 pi/3, run
+        # X-states, so the four samples are 45, 75, 105 and 135 degrees
         import dipolarqb.resources as res
 
         grids = []  # the size of each objective call; the first is the start grid
@@ -177,8 +176,8 @@ class TestDiscord:
                 field=gen.uniform(-2, 2), temperature=gen.uniform(0.3, 3.0),
             )
             zeta = gibbs_numeric(p)
-            _, states = charge_trajectory(p, zeta, TimeGrid(0.0, np.pi, 1e-2), n_samples=4)
-            for rho in states[1:-1]:
+            _, states = charge_trajectory(p, zeta, np.pi / 4, 3 * np.pi / 4, n_samples=4)
+            for rho in states:
                 monkeypatch.setattr(res, "GRID_THETA_N", GRID_THETA_N)
                 monkeypatch.setattr(res, "GRID_PHI_N", GRID_PHI_N)
                 coarse = quantum_discord(rho).discord

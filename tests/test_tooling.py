@@ -84,3 +84,14 @@ def test_only_oracles_imports_scipy():
     offenders = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
                  if path.name != "oracles.py" and imports_scipy(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+def test_config_diff_reports_row_counts():
+    spec = importlib.util.spec_from_file_location("config_diff", ROOT / "tools" / "config_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    ref = b"t,x\n0,1\n1,2\n"
+    assert module.max_cell_deviation(ref, ref) == 0.0
+    assert module.max_cell_deviation(ref, b"t,x\n0,1\n1,2.5\n") == 0.5
+    assert module.max_cell_deviation(ref, b"t,x\n0,1\n0.5,1\n1,2\n") == "2→3 rows"
+    assert module.max_cell_deviation(ref, b"t,y\n0,1\n1,2\n") == float("inf")

@@ -9,7 +9,8 @@ directory.  Each config of the working tree's `configs/` runs on both
 sides as its own process, `--jobs 1 --emit-plot`, from that side's
 root, so its `out` path lands in that side's `results/`.  Per config
 the script prints whether every CSV and `.gp` file is byte-identical,
-the largest absolute deviation over the numeric CSV cells, and the
+the largest absolute deviation over the numeric CSV cells (or, where a
+CSV's data row count changed, both counts, as `450→501 rows`), and the
 whole-process wall time on each side.  It exits 0 when every config ran
 on both sides and 1 otherwise.
 """
@@ -66,9 +67,15 @@ def run_config(tree, config):
 
 
 def max_cell_deviation(a, b):
-    """Largest |a - b| over numeric CSV cells; inf when the tables differ in shape or text."""
+    """Largest |a - b| over numeric CSV cells.
+
+    Tables with different data row counts give both counts as text,
+    `ref→tree rows`; inf when they otherwise differ in shape or text.
+    """
     rows_a = [line.split(",") for line in a.decode("ascii").splitlines()]
     rows_b = [line.split(",") for line in b.decode("ascii").splitlines()]
+    if len(rows_a) != len(rows_b):
+        return f"{len(rows_a) - 1}→{len(rows_b) - 1} rows"
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return float("inf")
     worst = 0.0
@@ -91,7 +98,7 @@ def main(argv):
         export_ref(argv[0], ref_tree)
         export_working_tree(work_tree)
         configs = sorted((work_tree / "configs").glob("*.cfg"))
-        print(f"{'config':32} {'identical':9} {'max |dev|':>10} {'ref s':>7} {'tree s':>7}")
+        print(f"{'config':32} {'identical':9} {'max |dev|':>12} {'ref s':>7} {'tree s':>7}")
         failed = identical = 0
         for config in configs:
             runs = [run_config(tree, config) for tree in (ref_tree, work_tree)]
@@ -103,11 +110,13 @@ def main(argv):
             (_, _, ref_s, ref_files), (_, _, tree_s, tree_files) = runs
             same = ref_files == tree_files and bool(ref_files)
             identical += same
-            dev = 0.0 if ref_files.keys() == tree_files.keys() else float("inf")
-            for name in ref_files.keys() & tree_files.keys():
-                if name.endswith(".csv"):
-                    dev = max(dev, max_cell_deviation(ref_files[name], tree_files[name]))
-            print(f"{config.name:32} {'yes' if same else 'NO':9} {dev:10.3g} {ref_s:7.2f} {tree_s:7.2f}")
+            devs = [max_cell_deviation(ref_files[name], tree_files[name])
+                    for name in sorted(ref_files.keys() & tree_files.keys()) if name.endswith(".csv")]
+            dev = max([d for d in devs if not isinstance(d, str)]
+                      + [0.0 if ref_files.keys() == tree_files.keys() else float("inf")])
+            rows = sorted({d for d in devs if isinstance(d, str)})
+            shown = ", ".join(rows + ([f"{dev:.3g}"] if dev or not rows else []))
+            print(f"{config.name:32} {'yes' if same else 'NO':9} {shown:>12} {ref_s:7.2f} {tree_s:7.2f}")
         print(f"{identical}/{len(configs)} configs byte-identical, {failed} failed to run")
     return 1 if failed else 0
 
