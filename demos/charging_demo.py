@@ -14,7 +14,6 @@ import numpy as np
 from dipolarqb import (
     ModelParams,
     capacity,
-    capacity_closed_form,
     charge_trajectory,
     ergotropy_closed_form,
     gibbs_numeric,
@@ -22,6 +21,7 @@ from dipolarqb import (
     work_and_power,
 )
 from dipolarqb.dynamics import charged_state
+from dipolarqb.oracles import capacity_closed_form
 
 p = ModelParams(delta=1.0, epsilon=0.5, temperature=1.0, omega=1.0)
 zeta = gibbs_numeric(p)

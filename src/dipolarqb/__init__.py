@@ -10,7 +10,6 @@ from .battery import (
     OrbitPeaks,
     antipassive_state,
     capacity,
-    capacity_closed_form,
     charging_orbit_arrays,
     ergotropy,
     ergotropy_closed_form,
@@ -70,7 +69,6 @@ __all__ = [
     "antipassive_state",
     "build_hamiltonian",
     "capacity",
-    "capacity_closed_form",
     "charge_trajectory",
     "charging_hamiltonian",
     "charging_orbit_arrays",

@@ -21,6 +21,10 @@ and the l1 coherence are each computed by one function over
 (`work_and_power`, the one route from charged samples to battery
 columns), the orbit arrays and the orbit peak search all call.
 
+Along the orbit, at s = Omega t, the state is a five-term Fourier form
+in s (`_orbit_kernel`) and xi(s) = alpha sin^2 s + beta sin^2 2s, a
+quadratic in sin^2 s, so `orbit_peaks` takes the xi and P peaks as roots.
+
 Two capacity notions coexist and are always reported side by side:
 
 * capacity_basis = <11|H|11> - <00|H|00>, the gap between the extreme
@@ -29,14 +33,16 @@ Two capacity notions coexist and are always reported side by side:
   the spectrum-fixed bound on extractable work, constant along any
   unitary orbit.
 
-Closed-form evaluators: `ergotropy_closed_form` is a manifestly real
-expression for xi(t) on the Gibbs charging orbit, valid for every
-parameter combination including D != 0; its collapsed complex
-variant is `oracles.ergotropy_closed_form_literal`.
-`capacity_closed_form` is the corresponding thermal capacity
-expression; it matches neither capacity definition in general.
+`ergotropy_closed_form` is a manifestly real expression for xi(t) on
+the Gibbs charging orbit, valid for every parameter combination
+including D != 0: the independent oracle of the two-term law, which no
+production path calls.  Its collapsed complex variant is
+`oracles.ergotropy_closed_form_literal`, and the thermal capacity
+expression, which matches neither capacity definition in general, is
+`oracles.capacity_closed_form`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,25 +170,6 @@ def ergotropy_closed_form(p, t):
     return out if out.ndim else float(out)
 
 
-def capacity_closed_form(p):
-    """Thermal closed-form capacity Q; compared with both definitions.
-
-    Numerically equal to <00|H|00> - Tr[H zeta], i.e. the gap between
-    the highest-field basis state and the thermal energy, which matches
-    neither capacity_basis nor capacity_unitary in general.
-    """
-    th = _thermal_terms(p)
-    b, d = p.field, p.delta
-    k1, k2 = p.kappa1(), p.kappa2()
-    num = (
-        (3.0 * b + 2.0 * d) * th.w_cosh_s
-        + 3.0 * b * th.cosh_j
-        + k1 * k1 * th.ws_over_k1
-        + 3.0 * k2 * k2 * th.sinhj_over_k2
-    )
-    return 4.0 * num / (3.0 * th.twod0)
-
-
 def _unitary_capacity(h, zeta):
     """Tr[H antipassive(zeta)] - Tr[H passive(zeta)]."""
     return float(np.trace(h @ (antipassive_state(zeta, h) - passive_state(zeta, h))).real)
@@ -197,12 +184,36 @@ def capacity(p):
     )
 
 
-def _orbit_grid(p, zeta, n_grid):
-    """s = Omega t on n_grid uniform points of [0, pi], and the states there."""
+# g(s) = (1, cos 2s, sin 2s, cos 4s, sin 4s) = cos(FREQS s - PHASES)
+_FREQS = np.array([0.0, 2.0, 2.0, 4.0, 4.0])
+_PHASES = np.array([0.0, 0.0, 0.5 * np.pi, 0.0, 0.5 * np.pi])
+
+
+def _fourier_basis(s):
+    """g(s) of scalar or array s, on a new last axis."""
+    return np.cos(np.multiply.outer(s, _FREQS) - _PHASES)
+
+
+# the five Fourier coefficients R_m of an orbit are fixed by its states at
+# the nodes s_k = k pi / 5: R = _NODE_INVERSE @ rho(s_k).  The nodes are
+# equispaced in 2s, so g's columns are orthogonal there, with squared
+# norms (5, 5/2, 5/2, 5/2, 5/2), and the inverse is a scaled transpose.
+_NODES = np.arange(5) * (np.pi / 5.0)
+_NODE_INVERSE = _fourier_basis(_NODES).T * np.array([[0.2], [0.4], [0.4], [0.4], [0.4]])
+
+
+def _orbit_kernel(p, zeta):
+    """rho(s) = U zeta U^dag at s = Omega t, as a function of scalar or array s.
+
+    U = u(s) x u(s) holds only the frequencies 0 and 2s, so
+    rho(s) = sum_m g_m(s) R_m, one real product with the interleaved real
+    and imaginary parts of the R_m, which `charged_state` gives at the nodes.
+    """
     if p.omega == 0.0:
         raise ValueError("omega = 0 has no charging period pi/omega")
-    s = np.linspace(0.0, np.pi, n_grid)
-    return s, charged_state(p, zeta, s / p.omega)
+    r = _NODE_INVERSE @ charged_state(p, zeta, _NODES / p.omega).reshape(5, 16)
+    parts = r.view(float)
+    return lambda s: (_fourier_basis(s) @ parts).view(complex).reshape(np.shape(s) + (4, 4))
 
 
 def charging_orbit_arrays(p, n_grid=PEAK_GRID_N):
@@ -213,7 +224,8 @@ def charging_orbit_arrays(p, n_grid=PEAK_GRID_N):
     """
     h = build_hamiltonian(p)
     zeta = gibbs_numeric(p)
-    s, states = _orbit_grid(p, zeta, n_grid)
+    s = np.linspace(0.0, np.pi, n_grid)
+    states = _orbit_kernel(p, zeta)(s)
     return (s, *(metric(states) for metric in _orbit_metrics(p, h, zeta)))
 
 
@@ -221,8 +233,8 @@ def charging_orbit_arrays(p, n_grid=PEAK_GRID_N):
 class OrbitPeaks:
     """Per-parameter-point maxima over one charging period.
 
-    ergotropy_peak_at is the refined Omega*t location of the ergotropy
-    maximum in [0, pi].
+    ergotropy_peak_at is the Omega*t location of the ergotropy maximum,
+    the smallest one in [0, pi/2] (the orbit is symmetric about pi/2).
     """
 
     ergotropy_max: float
@@ -232,30 +244,61 @@ class OrbitPeaks:
     ergotropy_peak_at: float
 
 
-def orbit_peaks(p, n_grid=PEAK_GRID_N, tol=PEAK_TOL):
-    """Grid scan plus golden-section refinement of each orbit metric.
+def _ergotropy_peak(alpha, beta):
+    """(s, xi) of the largest xi = alpha x + 4 beta x (1 - x), x = sin^2 s in [0, 1].
 
-    H and zeta are built once.  The reported capacity is the unitary
-    (passive/antipassive) one; it is constant over the orbit so no scan
-    is needed.
+    The candidates are x = 0, the vertex when beta > 0 puts one inside,
+    and x = 1, in increasing order, so ties go to the smallest s.
+    """
+    def xi(x):
+        return alpha * x + 4.0 * beta * x * (1.0 - x)
+
+    vertex = 0.5 + alpha / (8.0 * beta) if beta > 0.0 else 1.0
+    x = max([0.0, vertex, 1.0] if 0.0 < vertex < 1.0 else [0.0, 1.0], key=xi)
+    return math.asin(math.sqrt(x)), xi(x)
+
+
+def _power_peak(omega, alpha, beta):
+    """max P = |Omega| max |sin 2s (alpha + 4 beta c)| over c = cos 2s.
+
+    P = Omega dxi/ds and P(pi - s) = -P(s).  The extremes of
+    sqrt(1 - c^2) (alpha + 4 beta c) inside (-1, 1) solve
+    8 beta c^2 + alpha c - 4 beta = 0 (c = 0 when beta = 0); c = +-1 give 0.
+    """
+    if beta == 0.0:
+        roots = [0.0]
+    else:  # alpha^2 + 128 beta^2 > 0: two real roots, taken without cancellation
+        q = -0.5 * (alpha + math.copysign(math.sqrt(alpha * alpha + 128.0 * beta * beta), alpha))
+        roots = [q / (8.0 * beta), -4.0 * beta / q]
+    return abs(omega) * max((math.sqrt(1.0 - c * c) * abs(alpha + 4.0 * beta * c)
+                             for c in roots if abs(c) <= 1.0), default=0.0)
+
+
+def orbit_peaks(p, n_grid=PEAK_GRID_N, tol=PEAK_TOL):
+    """Peaks of xi, P and l1 coherence over one charging period.
+
+    alpha = xi(pi/2) and beta = xi(pi/4) - alpha/2, two trace evaluations,
+    fix the xi and P peaks in closed form.  Coherence has no such law: it
+    is scanned on n_grid uniform points of [0, pi] of the Fourier orbit and
+    refined by golden section to tol; n_grid and tol set only that scan.
+    The capacity is the unitary one, constant over the orbit.
     """
     h = build_hamiltonian(p)
     zeta = gibbs_numeric(p)
-    s, states = _orbit_grid(p, zeta, n_grid)
-    peaks = []  # (Omega t, value) of each metric's maximum
-    for metric in _orbit_metrics(p, h, zeta):
-        arr = metric(states)
-        k = int(np.argmax(arr))
-        refined = golden_max(
-            lambda x: metric(charged_state(p, zeta, x / p.omega)),
-            s[max(0, k - 1)], s[min(n_grid - 1, k + 1)], tol,
-        )
-        peaks.append(refined if refined[1] >= arr[k] else (float(s[k]), float(arr[k])))
-    (xi_at, xi_max), (_, power_max), (_, coherence_max) = peaks
+    orbit = _orbit_kernel(p, zeta)
+    xi_of, _, coherence_of = _orbit_metrics(p, h, zeta)
+    alpha, xi_quarter = xi_of(orbit(np.array([0.5 * np.pi, 0.25 * np.pi]))).tolist()
+    beta = xi_quarter - 0.5 * alpha
+    xi_at, xi_max = _ergotropy_peak(alpha, beta)
+    s = np.linspace(0.0, np.pi, n_grid)
+    coh = coherence_of(orbit(s))
+    k = int(np.argmax(coh))
+    _, refined = golden_max(lambda x: coherence_of(orbit(x)),
+                            s[max(0, k - 1)], s[min(n_grid - 1, k + 1)], tol)
     return OrbitPeaks(
         ergotropy_max=xi_max,
-        power_max=power_max,
-        coherence_max=coherence_max,
+        power_max=_power_peak(p.omega, alpha, beta),
+        coherence_max=max(refined, float(coh[k])),
         capacity=_unitary_capacity(h, zeta),
         ergotropy_peak_at=xi_at,
     )

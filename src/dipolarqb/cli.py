@@ -15,7 +15,8 @@ step.  Configs are flat ``key = value`` text files and every key has a
 matching CLI flag.  File and flag values are merged as text, flags
 winning, and parsed once, so a flag also overrides a file value that
 would not parse.  Sweep axes are compact specs
-``name:min:max:count[:log]`` over the model parameters.
+``name:min:max:count[:log]`` over the model parameters, with finite
+bounds and at most MAX_POINTS points over all axes.
 ``run_scenario`` expands the axes into parameter points and maps the
 scenario's row function, which returns the CSV rows of one point, over
 them.  spectrum, gibbs, dephasing and charge write one CSV per point (one
@@ -49,6 +50,9 @@ PARAM_KEYS = ("delta", "epsilon", "dm", "ksea", "field", "temperature", "omega",
 # a run holds (samples, 4, 4) complex stacks, 256 bytes a sample: 1e8 would
 # be 25 GB a stack, 1e5 (200x the largest bundled value) is 25 MB
 MAX_SAMPLES = 100_000
+# a run builds a ModelParams per point and keeps every point's rows until
+# it writes, so the axes' product is capped: 1e5 is 227x the bundled grids
+MAX_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -70,6 +74,9 @@ class AxisSpec:
             raise ConfigError(
                 f"unknown sweep parameter {self.name!r}; choose from {', '.join(PARAM_KEYS)}"
             )
+        for bound, value in (("min", self.lo), ("max", self.hi)):
+            if not math.isfinite(value):
+                raise ConfigError(f"sweep {bound} must be finite, got {value!r}")
         if self.count < 2:
             raise ConfigError("sweep count must be at least 2")
         if not self.lo < self.hi:
@@ -237,6 +244,9 @@ def validate_config(cfg):
         raise ConfigError(f"outputs names {', '.join(repeated)} more than once")
     if cfg.samples is not None and not 2 <= cfg.samples <= MAX_SAMPLES:
         raise ConfigError(f"samples must be at least 2 and at most {MAX_SAMPLES}")
+    n_points = math.prod(a.count for a in (cfg.sweep, cfg.second_axis) if a is not None)
+    if n_points > MAX_POINTS:
+        raise ConfigError(f"the sweep axes give {n_points} points; at most {MAX_POINTS}")
     # every swept point must give valid parameters and, for the time
     # studies, valid sample times, not just the base point
     try:

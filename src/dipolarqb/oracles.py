@@ -29,6 +29,9 @@ route recomputes a production result another way:
   written with complex intermediates.  Its imaginary part and its
   epsilon-sign convention are diagnostics: at D = 0 it equals
   `battery.ergotropy_closed_form` with epsilon flipped.
+* `capacity_closed_form` is the thermal closed-form capacity, equal to
+  <00|H|00> - Tr[H zeta]; no CSV writes it, and it matches neither
+  capacity that `battery.capacity` reports.
 """
 
 import math
@@ -305,3 +308,22 @@ def ergotropy_closed_form_literal(p, t, flip_epsilon=False):
     )
     out = pref * core
     return out if out.ndim else complex(out)
+
+
+def capacity_closed_form(p):
+    """Thermal closed-form capacity Q; compared with both definitions.
+
+    Numerically equal to <00|H|00> - Tr[H zeta], i.e. the gap between
+    the highest-field basis state and the thermal energy, which matches
+    neither capacity_basis nor capacity_unitary in general.
+    """
+    th = _thermal_terms(p)
+    b, d = p.field, p.delta
+    k1, k2 = p.kappa1(), p.kappa2()
+    num = (
+        (3.0 * b + 2.0 * d) * th.w_cosh_s
+        + 3.0 * b * th.cosh_j
+        + k1 * k1 * th.ws_over_k1
+        + 3.0 * k2 * k2 * th.sinhj_over_k2
+    )
+    return 4.0 * num / (3.0 * th.twod0)

@@ -20,7 +20,6 @@ from dipolarqb import (
     antipassive_state,
     build_hamiltonian,
     capacity,
-    capacity_closed_form,
     charge_trajectory,
     charging_orbit_arrays,
     charging_unitary,
@@ -40,6 +39,7 @@ from dipolarqb import (
     work_and_power,
 )
 from dipolarqb.oracles import (
+    capacity_closed_form,
     charging_unitary_exact,
     ergotropy_closed_form_literal,
     ergotropy_double_sum,

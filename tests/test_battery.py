@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from dipolarqb import battery, dynamics, thermal
 from dipolarqb import (
     ModelParams,
     antipassive_state,
     build_hamiltonian,
     capacity,
-    capacity_closed_form,
     charging_hamiltonian,
     charge_trajectory,
     charging_orbit_arrays,
@@ -24,6 +24,7 @@ from dipolarqb import (
     work_and_power,
 )
 from dipolarqb.oracles import (
+    capacity_closed_form,
     ergotropy_closed_form_literal,
     ergotropy_double_sum,
     instantaneous_power_fd,
@@ -360,3 +361,116 @@ class TestOrbitArrays:
             assert abs(xi[k] - series["ergotropy"][k]) < 1e-12
             assert abs(power[k] - series["power_instant"][k]) < 1e-12
             assert abs(coh[k] - series["coherence"][k]) < 1e-12
+
+
+def _trace_route(p):
+    """xi(s), P(s) and l1(s) of the Gibbs orbit by conjugation and traces, s = Omega t."""
+    h, h_ch, zeta = build_hamiltonian(p), charging_hamiltonian(p), gibbs_numeric(p)
+
+    def states(s):
+        u = charging_unitary(p, np.asarray(s, dtype=float) / p.omega)
+        return u @ zeta @ np.swapaxes(u.conj(), -1, -2)
+
+    def xi(s):
+        return np.einsum("...ij,ji->...", states(s) - zeta, h).real
+
+    def power(s):
+        rho = states(s)
+        return np.einsum("...ij,ji->...", -1j * (h_ch @ rho - rho @ h_ch), h).real
+
+    return xi, power, lambda s: l1_coherence(states(s))
+
+
+def _scan_and_refine(f, n=2001):
+    """(dense-scan maximum over [0, pi], that maximum refined by bounded Brent)."""
+    from scipy.optimize import minimize_scalar
+
+    s = np.linspace(0.0, np.pi, n)
+    vals = f(s)
+    k = int(np.argmax(vals))
+    res = minimize_scalar(lambda x: -float(f(x)), bounds=(s[max(k - 1, 0)], s[min(k + 1, n - 1)]),
+                          method="bounded", options={"xatol": 1e-12})
+    return float(vals[k]), max(float(vals[k]), -float(res.fun))
+
+
+# the corners of the two-term law: beta = 0 with a field only or with
+# delta = -epsilon, alpha = 0 without D, G and B, a negative Omega, and H = 0
+ORBIT_CORNERS = [
+    ModelParams(field=0.7, temperature=0.6),
+    ModelParams(delta=1.0, epsilon=-1.0, dm=0.3, ksea=0.4, field=0.5, temperature=0.9),
+    ModelParams(delta=2.0, epsilon=0.5, temperature=0.7),
+    ModelParams(delta=1.0, epsilon=0.4, dm=-0.3, ksea=0.2, field=0.6, omega=-1.7),
+    ModelParams(temperature=0.8),
+]
+
+
+class TestOrbitKernel:
+    def test_fourier_form_matches_conjugation(self, rng):
+        for _ in range(50):
+            p = random_params(rng, box=5.0, t_lo=0.1, t_hi=5.0).replace(
+                omega=rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0))
+            zeta = gibbs_numeric(p)
+            s = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 40)
+            orbit = battery._orbit_kernel(p, zeta)
+            assert np.max(np.abs(orbit(s) - dynamics.charged_state(p, zeta, s / p.omega))) <= 1e-14
+            assert np.max(np.abs(orbit(s[0]) - dynamics.charged_state(p, zeta, s[0] / p.omega))) <= 1e-14
+
+    def test_closed_form_peaks_against_dense_trace_scan(self, rng):
+        for _ in range(200):
+            p = random_params(rng, box=3.0, t_lo=0.3, t_hi=4.0).replace(
+                omega=rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0))
+            peaks = orbit_peaks(p)
+            for value, f in zip((peaks.ergotropy_max, peaks.power_max), _trace_route(p)):
+                scan, refined = _scan_and_refine(f)
+                assert value >= scan - 1e-12
+                assert abs(value - refined) <= 1e-9 * max(1.0, abs(value))
+
+    def test_coherence_peak_is_refined(self, rng):
+        # a 2000-point scan alone lies up to about 1e-6 below the peak
+        for _ in range(40):
+            p = random_params(rng, box=3.0, t_lo=0.3, t_hi=4.0)
+            value = orbit_peaks(p).coherence_max
+            scan, refined = _scan_and_refine(_trace_route(p)[2], n=2003)
+            assert value >= scan - 1e-12
+            assert abs(value - refined) <= 1e-9
+
+    @pytest.mark.parametrize("p", ORBIT_CORNERS)
+    def test_corners_match_refined_trace_scan(self, p):
+        peaks = orbit_peaks(p)
+        for value, f in zip((peaks.ergotropy_max, peaks.power_max), _trace_route(p)):
+            scan, refined = _scan_and_refine(f)
+            assert value >= scan - 1e-12
+            assert abs(value - refined) <= 1e-12 * max(1.0, abs(value))
+        assert 0.0 <= peaks.ergotropy_peak_at <= np.pi / 2
+
+    def test_exact_corners_of_the_law(self):
+        assert battery._ergotropy_peak(1.5, 0.0) == (np.pi / 2, 1.5)
+        s, xi = battery._ergotropy_peak(0.0, 0.75)
+        assert abs(s - np.pi / 4) <= 1e-15 and xi == 0.75
+        assert battery._ergotropy_peak(0.0, 0.0) == (0.0, 0.0)
+        assert battery._power_peak(-2.0, 1.5, 0.0) == 3.0
+        assert abs(battery._power_peak(-2.0, 0.0, 0.75) - 2.0 * 2.0 * 0.75) <= 1e-15
+        assert battery._power_peak(1.0, 0.0, 0.0) == 0.0
+        zero = orbit_peaks(ORBIT_CORNERS[-1])
+        assert (zero.ergotropy_max, zero.power_max, zero.ergotropy_peak_at) == (0.0, 0.0, 0.0)
+
+    def test_peak_location_on_the_closed_form_oracle(self, rng):
+        for p in ORBIT_CORNERS + [random_params(rng, box=3.0, t_lo=0.3, t_hi=4.0)
+                                  for _ in range(30)]:
+            peaks = orbit_peaks(p)
+            assert 0.0 <= peaks.ergotropy_peak_at <= np.pi / 2
+            at = ergotropy_closed_form(p, peaks.ergotropy_peak_at / p.omega)
+            assert abs(at - peaks.ergotropy_max) <= 1e-12
+
+    def test_peaks_never_call_the_oracles(self, rng, monkeypatch):
+        calls = []
+
+        def spy(name):
+            return lambda *args, **kw: calls.append(name)
+
+        monkeypatch.setattr(battery, "ergotropy_closed_form", spy("ergotropy_closed_form"))
+        monkeypatch.setattr(battery, "_thermal_terms", spy("battery._thermal_terms"))
+        monkeypatch.setattr(thermal, "_thermal_terms", spy("thermal._thermal_terms"))
+        for p in ORBIT_CORNERS + [random_params(rng) for _ in range(5)]:
+            orbit_peaks(p)
+        assert calls == []

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from dipolarqb import (
     von_neumann_entropy,
 )
 from dipolarqb.cli import (
+    MAX_POINTS,
     MAX_SAMPLES,
     PARAM_KEYS,
     SCENARIOS,
@@ -77,6 +79,16 @@ class TestAxisSpec:
             AxisSpec("delta", 1.0, 1.0, 5)
         with pytest.raises(ConfigError, match="min > 0"):
             AxisSpec("delta", 0.0, 1.0, 5, log=True)
+
+    @pytest.mark.parametrize("spec", ["field:0:inf:2", "field:-inf:1:2", "field:nan:1:2",
+                                      "temperature:0.1:inf:3:log"])
+    def test_non_finite_bound_is_exit_1_without_warning(self, spec, tmp_path, capsys):
+        bound = "min" if spec.split(":")[1] in ("-inf", "nan") else "max"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["charge", "--sweep", spec, "--out", str(tmp_path / "c.csv")]) == 1
+        assert f"config error: sweep {bound} must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_parse_round_trip(self):
         for spec in ("field:0.0:2.0:9", "temperature:0.05:5.0:200:log"):
@@ -201,6 +213,16 @@ class TestValidateConfig:
         validate_config(ScenarioConfig(scenario=scenario, t1=1.0, samples=3))
         with pytest.raises(ConfigError, match=f"samples must be .* at most {MAX_SAMPLES}"):
             validate_config(ScenarioConfig(scenario=scenario, samples=MAX_SAMPLES + 1))
+
+    def test_points_cap(self, monkeypatch):
+        # only the rejection runs, and before any axis is expanded
+        monkeypatch.setattr(AxisSpec, "values", lambda self: pytest.fail("axis expanded"))
+        grid = ScenarioConfig(scenario="grid2d", sweep=AxisSpec("delta", 0.0, 1.0, 1000),
+                              second_axis=AxisSpec("epsilon", 0.0, 1.0, MAX_POINTS // 1000 + 1))
+        for cfg in (grid, ScenarioConfig(scenario="charge",
+                                         sweep=AxisSpec("field", 0.0, 1.0, 10**9))):
+            with pytest.raises(ConfigError, match=f"points; at most {MAX_POINTS}"):
+                validate_config(cfg)
 
     def test_bad_grid_becomes_config_error(self):
         with pytest.raises(ConfigError):
@@ -532,6 +554,12 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert ("1e7 steps" if "--dt" in argv else "samples must be") in err
+        assert not list(tmp_path.iterdir())
+
+    def test_points_cap_is_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["charge", "--sweep", "field:0:1:1000000000", "--out", str(out)]) == 1
+        assert f"at most {MAX_POINTS}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_bundled_charge_run_ends_on_one_period(self, tmp_path, capsys):
